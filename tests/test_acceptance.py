@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from omneg import dynamics, entanglement, params, steady_state, sweep
 from omneg.errors import UnstableSystem
@@ -45,34 +44,6 @@ def _rebuild(base, axis_names, axis_values):
     m = dynamics.build_drift(point, derived.g_m)
     d = dynamics.build_diffusion(point, derived.nbar)
     return point, derived, m, d
-
-
-@pytest.fixture(scope="module")
-def fig2_data():
-    spec = sweep.figure_spec("fig2", parallel=1)
-    start = time.perf_counter()
-    rows = sweep.run_sweep(spec)
-    elapsed = time.perf_counter() - start
-    return spec, rows, elapsed
-
-
-@pytest.fixture(scope="module")
-def fig3_rows():
-    return sweep.figure_dataset("fig3", parallel=1)
-
-
-@pytest.fixture(scope="module")
-def fig4_rows():
-    return sweep.figure_dataset("fig4", parallel=1)
-
-
-@pytest.fixture(scope="module")
-def fig5_data():
-    out = {}
-    for which in ("fig5a", "fig5b"):
-        spec = sweep.figure_spec(which, parallel=1)
-        out[which] = (spec, sweep.run_sweep(spec))
-    return out
 
 
 def two_mode_squeezed(r: float) -> entanglement.ReducedCovariance:
