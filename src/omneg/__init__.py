@@ -1,9 +1,12 @@
 """Steady-state entanglement of Coulomb-coupled oscillators in a pumped cavity.
 
-The pipeline runs params -> steady_state -> dynamics -> entanglement;
-sweep drives grids of such points and cli fronts everything from the
-command line. All frequencies and rates are angular (rad/s); vacuum
-variance is 1/2.
+The pipeline runs params -> steady_state -> dynamics -> entanglement
+and is stated once, in ``sweep.run_stages``: it returns every stage's
+output plus the failure that stopped it. ``evaluate_point`` (the CSV
+row), the ``point`` command, ``critical_temperature`` and the fig5
+temperature ceiling all read that record; cli fronts everything from
+the command line. All frequencies and rates are angular (rad/s);
+vacuum variance is 1/2.
 """
 
 from .config import load_config, parse_config
@@ -24,6 +27,7 @@ from .entanglement import (
 from .errors import (
     ConfigError,
     DegenerateNormalMode,
+    ErrorCode,
     EigenFailure,
     NoDeathBelowCeiling,
     NoEntanglementAtFloor,
@@ -46,24 +50,19 @@ from .params import (
     single_photon_coupling,
     thermal_occupation,
 )
-from .steady_state import (
-    SteadyState,
-    cavity_amplitude,
-    displacements,
-    effective_coupling,
-    solve_steady_state,
-)
+from .steady_state import cavity_amplitude, displacements, effective_coupling
 from .sweep import (
     CSV_COLUMNS,
-    ErrorCode,
     FIGURE_NAMES,
     PointResult,
+    Stages,
     SweepRow,
     SweepSpec,
     critical_temperature,
     evaluate_point,
     figure_dataset,
     figure_spec,
+    run_stages,
     run_sweep,
     write_csv,
 )
@@ -81,11 +80,9 @@ __all__ = [
     "drive_amplitude",
     "single_photon_coupling",
     "coulomb_strength",
-    "SteadyState",
     "cavity_amplitude",
     "displacements",
     "effective_coupling",
-    "solve_steady_state",
     "build_drift",
     "build_diffusion",
     "StabilityReport",
@@ -99,6 +96,8 @@ __all__ = [
     "parse_config",
     "load_config",
     "ErrorCode",
+    "Stages",
+    "run_stages",
     "PointResult",
     "SweepRow",
     "SweepSpec",

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import config, dynamics, entanglement, params as params_mod, sweep
+from . import config, params as params_mod, sweep
 from .errors import (
     ConfigError,
     NoDeathBelowCeiling,
@@ -105,6 +105,7 @@ def _load_point_config(path) -> params_mod.SystemParams:
 
 def _cmd_point(args) -> int:
     point = config.apply_overrides(_load_point_config(args.config), args.set)
+    stages = sweep.run_stages(point)
     out = {
         "params": dataclasses.asdict(point),
         "derived": None,
@@ -112,22 +113,21 @@ def _cmd_point(args) -> int:
         "entanglement": None,
         "error": None,
     }
-    try:
-        derived = params_mod.derive(point)
-        out["derived"] = dataclasses.asdict(derived)
-        m = dynamics.build_drift(point, derived.g_m)
-        d = dynamics.build_diffusion(point, derived.nbar)
-        report = dynamics.stability(m, omega_scale=point.omega_m1)
+    if stages.derived is not None:
+        out["derived"] = dataclasses.asdict(stages.derived)
+    if stages.stability is not None:
         out["stability"] = {
-            "stable": report.stable,
-            "max_real_part": report.max_real_part,
-            "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
+            "stable": stages.stability.stable,
+            "max_real_part": stages.stability.max_real_part,
+            "eigenvalues": [[z.real, z.imag] for z in stages.stability.eigenvalues],
         }
-        v = dynamics.steady_covariance(m, d, omega_scale=point.omega_m1)
-        ent = entanglement.log_negativity(entanglement.reduce_mechanical(v))
-        out["entanglement"] = dataclasses.asdict(ent)
-    except PointFailure as exc:
-        out["error"] = {"name": type(exc).__name__, "detail": str(exc)}
+    if stages.entanglement is not None:
+        out["entanglement"] = dataclasses.asdict(stages.entanglement)
+    if stages.failure is not None:
+        out["error"] = {
+            "name": type(stages.failure).__name__,
+            "detail": str(stages.failure),
+        }
     print(json.dumps(out, indent=2))
     return 0
 

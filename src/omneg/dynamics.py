@@ -88,6 +88,14 @@ class StabilityReport:
     max_real_part: float
     eigenvalues: tuple[complex, ...]
 
+    def require_stable(self) -> None:
+        """Raise UnstableSystem unless the spectrum clears the margin."""
+        if not self.stable:
+            raise UnstableSystem(
+                f"drift spectrum reaches Re={self.max_real_part:.6g}; "
+                "no steady covariance exists"
+            )
+
 
 def stability(m, omega_scale: float | None = None) -> StabilityReport:
     """Check that every drift eigenvalue sits left of a small margin.
@@ -127,12 +135,7 @@ def steady_covariance(m, d, omega_scale: float | None = None) -> np.ndarray:
     if marr.shape != darr.shape or marr.ndim != 2 or marr.shape[0] != marr.shape[1]:
         raise ValueError(f"m and d must be matching square matrices, "
                          f"got {marr.shape} and {darr.shape}")
-    report = stability(marr, omega_scale)
-    if not report.stable:
-        raise UnstableSystem(
-            f"drift spectrum reaches Re={report.max_real_part:.6g}; "
-            "no steady covariance exists"
-        )
+    stability(marr, omega_scale).require_stable()
     n = marr.shape[0]
     eye = np.eye(n)
     lhs = smallmat.kron(marr, eye) + smallmat.kron(eye, marr)

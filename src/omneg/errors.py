@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and per-row error codes."""
+
+import enum
 
 __all__ = [
+    "ErrorCode",
     "OmnegError",
     "ConfigError",
     "PointFailure",
@@ -16,6 +19,19 @@ __all__ = [
 ]
 
 
+class ErrorCode(enum.IntEnum):
+    """Per-row outcome; nonzero rows carry empty entanglement columns."""
+
+    OK = 0
+    INVALID_PARAMS = 1
+    THRESHOLD_SINGULARITY = 2
+    DEGENERATE_NORMAL_MODE = 3
+    EIGEN_FAILURE = 4
+    UNSTABLE = 5
+    SINGULAR_SOLVE = 6
+    NONPHYSICAL_STATE = 7
+
+
 class OmnegError(Exception):
     """Base class for every error raised by this package."""
 
@@ -27,8 +43,11 @@ class ConfigError(OmnegError):
 class PointFailure(OmnegError):
     """Base for failures tied to a single parameter point.
 
-    The sweep engine records these in the output row instead of aborting.
+    The sweep engine records these in the output row instead of aborting;
+    each subclass carries the ErrorCode its row gets.
     """
+
+    code: ErrorCode
 
 
 class ThresholdSingularity(PointFailure):
@@ -38,6 +57,8 @@ class ThresholdSingularity(PointFailure):
     falls to (or below) zero.
     """
 
+    code = ErrorCode.THRESHOLD_SINGULARITY
+
 
 class DegenerateNormalMode(PointFailure):
     """omega_m1 * omega_m2 - lambda^2 <= 0.
@@ -45,21 +66,31 @@ class DegenerateNormalMode(PointFailure):
     The coupled-oscillator potential is unbounded; no steady state exists.
     """
 
+    code = ErrorCode.DEGENERATE_NORMAL_MODE
+
 
 class UnstableSystem(PointFailure):
     """The drift matrix has an eigenvalue at or beyond the stability margin."""
+
+    code = ErrorCode.UNSTABLE
 
 
 class SingularSolve(PointFailure):
     """A linear solve met a pivot below the singularity threshold."""
 
+    code = ErrorCode.SINGULAR_SOLVE
+
 
 class EigenFailure(PointFailure):
     """The eigenvalue iteration did not converge."""
 
+    code = ErrorCode.EIGEN_FAILURE
+
 
 class NonPhysicalState(PointFailure):
     """The reduced matrix is not a valid two-mode covariance matrix."""
+
+    code = ErrorCode.NONPHYSICAL_STATE
 
 
 class StepTooLarge(OmnegError):

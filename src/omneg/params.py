@@ -15,13 +15,11 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from . import steady_state
+
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
-    "HBAR",
-    "KB",
-    "C_LIGHT",
-    "K_E",
     "SystemParams",
     "reference_params",
     "DerivedQuantities",
@@ -44,10 +42,6 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
-HBAR = CONSTANTS.hbar
-KB = CONSTANTS.kB
-C_LIGHT = CONSTANTS.c_light
-K_E = CONSTANTS.k_e
 
 _POSITIVE_FIELDS = (
     "omega_m1",
@@ -123,7 +117,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0.0:
         return 0.0
-    x = HBAR * omega / (KB * temperature)
+    x = CONSTANTS.hbar * omega / (CONSTANTS.kB * temperature)
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)
@@ -135,7 +129,7 @@ def drive_amplitude(power: float, kappa: float, omega_laser: float) -> float:
         raise ValueError(f"power must be >= 0, got {power}")
     if kappa <= 0.0 or omega_laser <= 0.0:
         raise ValueError("kappa and omega_laser must be positive")
-    return math.sqrt(2.0 * kappa * power / (HBAR * omega_laser))
+    return math.sqrt(2.0 * kappa * power / (CONSTANTS.hbar * omega_laser))
 
 
 def single_photon_coupling(
@@ -144,7 +138,7 @@ def single_photon_coupling(
     """g0 = (omega_c/L) * sqrt(hbar/(m*omega_m)), the bare coupling rate."""
     if min(omega_cavity, cavity_length, mass, omega_m) <= 0.0:
         raise ValueError("all arguments must be positive")
-    return (omega_cavity / cavity_length) * math.sqrt(HBAR / (mass * omega_m))
+    return (omega_cavity / cavity_length) * math.sqrt(CONSTANTS.hbar / (mass * omega_m))
 
 
 def coulomb_strength(c1: float, u1: float, c2: float, u2: float, d0: float) -> float:
@@ -155,7 +149,7 @@ def coulomb_strength(c1: float, u1: float, c2: float, u2: float, d0: float) -> f
     """
     if d0 <= 0.0:
         raise ValueError(f"d0 must be positive, got {d0}")
-    return 2.0 * K_E * (c1 * u1) * (c2 * u2) / (HBAR * d0 ** 3)
+    return 2.0 * CONSTANTS.k_e * (c1 * u1) * (c2 * u2) / (CONSTANTS.hbar * d0 ** 3)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,9 +179,7 @@ def derive(params: SystemParams) -> DerivedQuantities:
     scale (omega_c = omega_L = 2*pi*c/lambda); the detuning field
     carries their effective separation.
     """
-    from . import steady_state
-
-    omega_laser = 2.0 * math.pi * C_LIGHT / params.laser_wavelength
+    omega_laser = 2.0 * math.pi * CONSTANTS.c_light / params.laser_wavelength
     omega_cavity = omega_laser
     drive_e = drive_amplitude(params.power, params.kappa, omega_laser)
     g0 = single_photon_coupling(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from .errors import DegenerateNormalMode, ThresholdSingularity
@@ -12,8 +11,6 @@ __all__ = [
     "cavity_amplitude",
     "displacements",
     "effective_coupling",
-    "SteadyState",
-    "solve_steady_state",
 ]
 
 # denominators smaller than THRESHOLD_RTOL * kappa^2 count as on-threshold
@@ -81,30 +78,3 @@ def displacements(
 def effective_coupling(g0: float, c_s: complex) -> float:
     """Field-enhanced optomechanical rate G = sqrt(2)*g0*|c_s|."""
     return math.sqrt(2.0) * g0 * abs(c_s)
-
-
-@dataclasses.dataclass(frozen=True)
-class SteadyState:
-    """Cavity amplitude, oscillator displacements, enhanced coupling."""
-
-    c_s: complex
-    q1s: float
-    q2s: float
-    g_m: float
-
-
-def solve_steady_state(
-    detuning: float,
-    kappa: float,
-    opa_gain: float,
-    opa_phase: float,
-    drive_E: float,
-    g0: float,
-    omega_m1: float,
-    omega_m2: float,
-    coulomb_lambda: float,
-) -> SteadyState:
-    """Bundle the three steady-state solves into one call."""
-    c_s = cavity_amplitude(detuning, kappa, opa_gain, opa_phase, drive_E)
-    q1s, q2s = displacements(g0, c_s, omega_m1, omega_m2, coulomb_lambda)
-    return SteadyState(c_s=c_s, q1s=q1s, q2s=q2s, g_m=effective_coupling(g0, c_s))

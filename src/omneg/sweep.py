@@ -11,23 +11,23 @@ import multiprocessing
 
 import numpy as np
 
-from . import dynamics, entanglement, params as params_mod, steady_state
+from . import dynamics, entanglement, params as params_mod
 from .config import PARAM_NAMES
+from .dynamics import StabilityReport
+from .entanglement import EntanglementResult
 from .errors import (
     ConfigError,
-    DegenerateNormalMode,
-    EigenFailure,
+    ErrorCode,
     NoDeathBelowCeiling,
     NoEntanglementAtFloor,
-    NonPhysicalState,
-    SingularSolve,
-    ThresholdSingularity,
-    UnstableSystem,
+    PointFailure,
 )
-from .params import SystemParams
+from .params import DerivedQuantities, SystemParams
 
 __all__ = [
     "ErrorCode",
+    "Stages",
+    "run_stages",
     "PointResult",
     "SweepRow",
     "SweepSpec",
@@ -42,17 +42,48 @@ __all__ = [
 ]
 
 
-class ErrorCode(enum.IntEnum):
-    """Per-row outcome; nonzero rows carry empty entanglement columns."""
+@dataclasses.dataclass(frozen=True)
+class Stages:
+    """Output of every pipeline stage at one point.
 
-    OK = 0
-    INVALID_PARAMS = 1
-    THRESHOLD_SINGULARITY = 2
-    DEGENERATE_NORMAL_MODE = 3
-    EIGEN_FAILURE = 4
-    UNSTABLE = 5
-    SINGULAR_SOLVE = 6
-    NONPHYSICAL_STATE = 7
+    A failing stage leaves its own field and every later one None and
+    records its exception in ``failure``. ``nbar`` is oscillator 1's
+    bath occupation, which no stage can fail to produce.
+    """
+
+    nbar: float
+    derived: DerivedQuantities | None = None
+    stability: StabilityReport | None = None
+    entanglement: EntanglementResult | None = None
+    failure: PointFailure | None = None
+
+    def checked_en(self) -> float:
+        """E_N, or the failure of the stage that stopped the run."""
+        if self.failure is not None:
+            raise self.failure
+        return self.entanglement.log_negativity
+
+
+def run_stages(p: SystemParams) -> Stages:
+    """Run the pipeline once at one operating point.
+
+    Stages: steady state (params.derive), drift and diffusion,
+    stability, steady covariance, reduction, negativity. The first
+    PointFailure stops the run and is kept in the record.
+    """
+    nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
+    derived = report = ent = None
+    try:
+        derived = params_mod.derive(p)
+        m = dynamics.build_drift(p, derived.g_m)
+        d = dynamics.build_diffusion(p, derived.nbar)
+        report = dynamics.stability(m, omega_scale=p.omega_m1)
+        report.require_stable()
+        v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
+        ent = entanglement.log_negativity(entanglement.reduce_mechanical(v))
+    except PointFailure as exc:
+        return Stages(nbar, derived, report, ent, failure=exc)
+    return Stages(nbar, derived, report, ent)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,66 +135,32 @@ CSV_COLUMNS = (
 
 
 def evaluate_point(p: SystemParams) -> PointResult:
-    """Run the full pipeline at one operating point.
+    """Run the pipeline at one operating point and flatten it to a row.
 
-    Stages: steady state, drift/diffusion, stability, steady
-    covariance, reduction, negativity. A failing stage flags the row
-    with its error code and leaves every later column empty; columns
-    already computed stay filled.
+    A failing stage flags the row with its error code and leaves every
+    later column empty; columns already computed stay filled.
     """
-    nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
-    omega_laser = 2.0 * math.pi * params_mod.C_LIGHT / p.laser_wavelength
-    drive_e = params_mod.drive_amplitude(p.power, p.kappa, omega_laser)
-    g0 = params_mod.single_photon_coupling(
-        omega_laser, p.cavity_length, p.mass, p.omega_m1
-    )
-    try:
-        c_s = steady_state.cavity_amplitude(
-            p.detuning, p.kappa, p.opa_gain, p.opa_phase, drive_e
+    stages = run_stages(p)
+    cols = {"nbar": stages.nbar}
+    if stages.derived is not None:
+        cols.update(
+            abs_c_s=abs(stages.derived.c_s),
+            q1s=stages.derived.q1s,
+            g_m=stages.derived.g_m,
         )
-    except ThresholdSingularity:
-        return PointResult(error_code=ErrorCode.THRESHOLD_SINGULARITY, nbar=nbar)
-    abs_c_s = abs(c_s)
-    g_m = steady_state.effective_coupling(g0, c_s)
-    try:
-        q1s, _ = steady_state.displacements(
-            g0, c_s, p.omega_m1, p.omega_m2, p.coulomb_lambda
+    if stages.stability is not None:
+        cols.update(
+            stable=stages.stability.stable,
+            max_real_part=stages.stability.max_real_part,
         )
-    except DegenerateNormalMode:
-        return PointResult(
-            error_code=ErrorCode.DEGENERATE_NORMAL_MODE,
-            nbar=nbar,
-            abs_c_s=abs_c_s,
-            g_m=g_m,
+    if stages.entanglement is not None:
+        cols.update(
+            sigma=stages.entanglement.sigma,
+            varrho=stages.entanglement.varrho,
+            log_negativity=stages.entanglement.log_negativity,
         )
-    filled = dict(nbar=nbar, abs_c_s=abs_c_s, q1s=q1s, g_m=g_m)
-    m = dynamics.build_drift(p, g_m)
-    d = dynamics.build_diffusion(p, nbar)
-    try:
-        report = dynamics.stability(m, omega_scale=p.omega_m1)
-    except EigenFailure:
-        return PointResult(error_code=ErrorCode.EIGEN_FAILURE, **filled)
-    filled.update(stable=report.stable, max_real_part=report.max_real_part)
-    if not report.stable:
-        return PointResult(error_code=ErrorCode.UNSTABLE, **filled)
-    try:
-        v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
-    except UnstableSystem:
-        return PointResult(error_code=ErrorCode.UNSTABLE, **filled)
-    except SingularSolve:
-        return PointResult(error_code=ErrorCode.SINGULAR_SOLVE, **filled)
-    reduced = entanglement.reduce_mechanical(v)
-    try:
-        ent = entanglement.log_negativity(reduced)
-    except NonPhysicalState:
-        return PointResult(error_code=ErrorCode.NONPHYSICAL_STATE, **filled)
-    return PointResult(
-        error_code=ErrorCode.OK,
-        sigma=ent.sigma,
-        varrho=ent.varrho,
-        log_negativity=ent.log_negativity,
-        **filled,
-    )
+    code = ErrorCode.OK if stages.failure is None else stages.failure.code
+    return PointResult(error_code=code, **cols)
 
 
 def _grid_task(task) -> PointResult:
@@ -262,16 +259,6 @@ def _detuning_grid(omega_m1: float) -> tuple[float, ...]:
     return tuple(float(v) for v in grid)
 
 
-def _point_log_negativity(p: SystemParams) -> float:
-    """E_N through the full pipeline; pipeline errors propagate."""
-    derived = params_mod.derive(p)
-    m = dynamics.build_drift(p, derived.g_m)
-    d = dynamics.build_diffusion(p, derived.nbar)
-    v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
-    ent = entanglement.log_negativity(entanglement.reduce_mechanical(v))
-    return ent.log_negativity
-
-
 def _fig5_ceiling(base: SystemParams) -> float:
     """Smallest doubling of 8 mK at which every power family is dead.
 
@@ -282,9 +269,9 @@ def _fig5_ceiling(base: SystemParams) -> float:
     ceiling = _TEMP_CEILING_START
     while ceiling < _TEMP_CEILING_CAP:
         dead = all(
-            _point_log_negativity(
+            run_stages(
                 dataclasses.replace(base, power=p, temperature=ceiling)
-            )
+            ).checked_en()
             == 0.0
             for p in _FIG5_POWERS
         )
@@ -369,9 +356,9 @@ def critical_temperature(
         raise ValueError(f"tol must be positive, got {tol}")
 
     def en_at(temperature: float) -> float:
-        return _point_log_negativity(
+        return run_stages(
             dataclasses.replace(p, temperature=temperature)
-        )
+        ).checked_en()
 
     if en_at(t_lo) <= 0.0:
         raise NoEntanglementAtFloor(

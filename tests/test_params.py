@@ -36,7 +36,7 @@ def test_thermal_occupation_zero_temperature_is_exactly_zero():
 def test_thermal_occupation_ln2_point():
     # hbar*omega/(kB*T) = ln 2 gives occupation exactly 1
     omega = 2.0 * math.pi * 1e8
-    t = params.HBAR * omega / (params.KB * math.log(2.0))
+    t = params.CONSTANTS.hbar * omega / (params.CONSTANTS.kB * math.log(2.0))
     assert params.thermal_occupation(omega, t) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_coulomb_strength_symmetric_under_swap():
 
 def test_coulomb_strength_formula():
     got = params.coulomb_strength(1e-12, 1.0, 1e-12, 1.0, 1e-4)
-    want = 2.0 * params.K_E * 1e-24 / (params.HBAR * 1e-12)
+    want = 2.0 * params.CONSTANTS.k_e * 1e-24 / (params.CONSTANTS.hbar * 1e-12)
     assert got == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError):
         params.coulomb_strength(1e-12, 1.0, 1e-12, 1.0, 0.0)

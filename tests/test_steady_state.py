@@ -86,15 +86,3 @@ def test_effective_coupling_is_phase_invariant():
     a = steady_state.effective_coupling(G0_REF, c)
     b = steady_state.effective_coupling(G0_REF, rotated)
     assert b == pytest.approx(a, rel=1e-12)
-
-
-def test_bundle_matches_individual_calls():
-    lam = 0.5 * OMEGA
-    s = steady_state.solve_steady_state(
-        OMEGA, KAPPA, 2e7, math.pi / 16, DRIVE_E_REF, G0_REF, OMEGA, OMEGA, lam
-    )
-    c = steady_state.cavity_amplitude(OMEGA, KAPPA, 2e7, math.pi / 16, DRIVE_E_REF)
-    q1, q2 = steady_state.displacements(G0_REF, c, OMEGA, OMEGA, lam)
-    assert s.c_s == c
-    assert (s.q1s, s.q2s) == (q1, q2)
-    assert s.g_m == steady_state.effective_coupling(G0_REF, c)

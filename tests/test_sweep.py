@@ -204,7 +204,7 @@ def test_critical_temperature_brackets_death():
     t_c = sweep.critical_temperature(fig5a_base(), 1e-3, 0.064, 1e-5)
     assert t_c == pytest.approx(0.030511, abs=5e-4)
     # past the critical point the state is definitely separable
-    en_dead = sweep._point_log_negativity(
+    dead = sweep.evaluate_point(
         params.reference_params(
             coulomb_lambda=0.95 * OMEGA,
             detuning=0.75 * OMEGA,
@@ -213,7 +213,8 @@ def test_critical_temperature_brackets_death():
             temperature=t_c + 1e-3,
         )
     )
-    assert en_dead == 0.0
+    assert dead.error_code == sweep.ErrorCode.OK
+    assert dead.log_negativity == 0.0
 
 
 def test_critical_temperature_floor_and_ceiling_guards():
