@@ -29,6 +29,7 @@ from .params import SystemParams
 
 __all__ = [
     "PARAM_NAMES",
+    "MAX_GRID_POINTS",
     "SCALED_ALIASES",
     "parse_config",
     "load_config",
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 PARAM_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
+# largest linspace count and largest grid (product of axis lengths)
+# accepted; the biggest built-in dataset, fig3, has 2,406 points
+MAX_GRID_POINTS = 1_000_000
 # convenience spellings: values are multiples of the base omega_m1
 SCALED_ALIASES = {
     "detuning_in_omega_m": "detuning",
@@ -86,10 +90,17 @@ def _parse_values(value: str, section: str, lineno: int | None):
     if m:
         if section == "base":
             raise _fail(lineno, "base values must be single numbers")
-        count = int(m.group(3))
+        # float() takes any digit string; int() refuses past 4300 digits
+        count = float(m.group(3))
         if count < 1:
             raise _fail(lineno, "linspace needs at least one point")
-        grid = np.linspace(float(m.group(1)), float(m.group(2)), count)
+        if count > MAX_GRID_POINTS:
+            raise _fail(
+                lineno,
+                f"linspace count {count:.6g} exceeds the grid cap of "
+                f"{MAX_GRID_POINTS} points",
+            )
+        grid = np.linspace(float(m.group(1)), float(m.group(2)), int(count))
         return tuple(float(v) for v in grid), scaled
     m = _LIST_RE.match(value)
     if m:

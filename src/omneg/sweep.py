@@ -8,11 +8,13 @@ import enum
 import itertools
 import math
 import multiprocessing
+import os
+import uuid
 
 import numpy as np
 
 from . import dynamics, entanglement, params as params_mod
-from .config import PARAM_NAMES
+from .config import MAX_GRID_POINTS, PARAM_NAMES
 from .dynamics import StabilityReport
 from .entanglement import EntanglementResult
 from .errors import (
@@ -179,6 +181,11 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ConfigError(f"unknown axis parameter {name!r}")
         if not values:
             raise ConfigError(f"axis {name!r} has no values")
+    size = math.prod(len(values) for _, values in spec.axes)
+    if size > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS} points"
+        )
     if not isinstance(spec.parallel, int) or spec.parallel < 1:
         raise ConfigError(f"parallel must be an integer >= 1, got {spec.parallel!r}")
 
@@ -221,27 +228,40 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, axis_names, rows) -> None:
-    """Write rows as RFC-4180 CSV: header, 17-digit floats, \\n endings."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(axis_names) + list(CSV_COLUMNS))
-        for row in rows:
-            res = row.result
-            writer.writerow(
-                [_fmt(v) for v in row.axis_values]
-                + [
-                    _fmt(res.nbar),
-                    _fmt(res.abs_c_s),
-                    _fmt(res.q1s),
-                    _fmt(res.g_m),
-                    _fmt(res.stable),
-                    _fmt(res.max_real_part),
-                    _fmt(res.sigma),
-                    _fmt(res.varrho),
-                    _fmt(res.log_negativity),
-                    _fmt(int(res.error_code)),
-                ]
-            )
+    """Write rows as RFC-4180 CSV: header, 17-digit floats, \\n endings.
+
+    The table goes to a new file beside the target, created with the
+    mode a plain open() would give, which then replaces the target in
+    one rename: a failed write leaves an existing file untouched and no
+    partial file behind.
+    """
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(list(axis_names) + list(CSV_COLUMNS))
+            for row in rows:
+                res = row.result
+                writer.writerow(
+                    [_fmt(v) for v in row.axis_values]
+                    + [
+                        _fmt(res.nbar),
+                        _fmt(res.abs_c_s),
+                        _fmt(res.q1s),
+                        _fmt(res.g_m),
+                        _fmt(res.stable),
+                        _fmt(res.max_real_part),
+                        _fmt(res.sigma),
+                        _fmt(res.varrho),
+                        _fmt(res.log_negativity),
+                        _fmt(int(res.error_code)),
+                    ]
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5a", "fig5b")

@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from omneg import cli
+from omneg import cli, config, sweep
 
 TWO_PI = 2.0 * math.pi
 OMEGA = TWO_PI * 1e8
@@ -132,6 +133,60 @@ def test_sweep_unwritable_out_is_io_error(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("io error:")
+
+
+def test_sweep_failed_write_keeps_existing_file(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("axes.detuning = list(0.5, 1.0, 1.5) * omega_m1\n")
+    out = tmp_path / "rows.csv"
+    out.write_text("previous table\n")
+    calls = []
+
+    def full_disk(value):
+        calls.append(value)
+        if len(calls) > 12:
+            raise OSError(28, "No space left on device")
+        return ""
+
+    monkeypatch.setattr(sweep, "_fmt", full_disk)
+    code, _, err = run_cli(
+        capsys, ["sweep", "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 2 and err.startswith("io error:")
+    assert len(calls) > 12
+    assert out.read_text() == "previous table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "run.cfg"]
+
+
+def test_sweep_output_mode_follows_umask(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("axes.detuning = list(6.28e8)\n")
+    out = tmp_path / "rows.csv"
+    old = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(
+            capsys, ["sweep", "--config", str(cfg), "--out", str(out)]
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "run.cfg"]
+
+
+def test_sweep_grid_over_cap_is_config_error(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("grid expanded past the cap")
+
+    monkeypatch.setattr(config.np, "linspace", boom)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("axes.power = linspace(0, 1, 10000000000)\n")
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        capsys, ["sweep", "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 1 and "grid cap" in err
+    assert not out.exists()
 
 
 def test_parallel_env_default(tmp_path, capsys, monkeypatch):

@@ -78,6 +78,17 @@ def test_scalar_in_axes_rejected():
         config.parse_config("axes.power = 0.05")
 
 
+def test_linspace_count_over_grid_cap_rejected(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("linspace called for a count over the cap")
+
+    monkeypatch.setattr(config.np, "linspace", boom)
+    cap = config.MAX_GRID_POINTS
+    for count in (str(cap + 1), "10000000000", "9" * 5000):
+        with pytest.raises(ConfigError, match="grid cap"):
+            config.parse_config(f"axes.power = linspace(0, 1, {count})")
+
+
 def test_linspace_in_base_rejected():
     with pytest.raises(ConfigError):
         config.parse_config("base.power = linspace(0, 1, 3)")

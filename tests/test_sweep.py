@@ -1,12 +1,20 @@
+import json
 import math
+import types
 
 import pytest
 
-from omneg import params, sweep
+from omneg import cli, dynamics, entanglement, params, steady_state, sweep
 from omneg.errors import (
     ConfigError,
+    DegenerateNormalMode,
+    EigenFailure,
     NoDeathBelowCeiling,
     NoEntanglementAtFloor,
+    NonPhysicalState,
+    SingularSolve,
+    ThresholdSingularity,
+    UnstableSystem,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -59,6 +67,47 @@ def test_evaluate_point_unstable_partial_fill():
     assert r.nbar is not None and r.abs_c_s is not None
     assert r.q1s is not None and r.g_m is not None
     assert r.sigma is None and r.varrho is None and r.log_negativity is None
+
+
+STEADY_COLS = ("nbar",)
+DERIVED_COLS = STEADY_COLS + ("abs_c_s", "q1s", "g_m")
+STABILITY_COLS = DERIVED_COLS + ("stable", "max_real_part")
+ROW_COLS = STABILITY_COLS + ("sigma", "varrho", "log_negativity")
+
+
+@pytest.mark.parametrize(
+    "exc, module, stage, code, cols, blocks",
+    [
+        (ThresholdSingularity, steady_state, "cavity_amplitude", 2, STEADY_COLS, ()),
+        (DegenerateNormalMode, steady_state, "displacements", 3, STEADY_COLS, ()),
+        (EigenFailure, dynamics, "stability", 4, DERIVED_COLS, ("derived",)),
+        (UnstableSystem, dynamics, "steady_covariance", 5, STABILITY_COLS,
+         ("derived", "stability")),
+        (SingularSolve, dynamics, "steady_covariance", 6, STABILITY_COLS,
+         ("derived", "stability")),
+        (NonPhysicalState, entanglement, "log_negativity", 7, STABILITY_COLS,
+         ("derived", "stability")),
+    ],
+)
+def test_stage_failure_maps_to_row_json_and_search(
+    exc, module, stage, code, cols, blocks, monkeypatch, capsys
+):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(module, stage, fail)
+    r = sweep.evaluate_point(strong_point())
+    assert r.error_code == code and exc.code == code
+    assert {c for c in ROW_COLS if getattr(r, c) is not None} == set(cols)
+
+    assert cli.main(["point", "--set", "coulomb_lambda_in_omega_m=0.95"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == {"name": exc.__name__, "detail": "injected"}
+    filled = {k for k, v in out.items() if v is not None}
+    assert filled == {"params", "error", *blocks}
+
+    with pytest.raises(exc):
+        sweep.critical_temperature(fig5a_base(), 1e-3, 0.064, 1e-5)
 
 
 def test_run_sweep_zero_axes_single_row():
@@ -126,6 +175,18 @@ def test_run_sweep_rejects_bad_spec():
         sweep.run_sweep(sweep.SweepSpec(base, (("power", ()),)))
     with pytest.raises(ConfigError):
         sweep.run_sweep(sweep.SweepSpec(base, (), parallel=0))
+
+
+def test_run_sweep_rejects_grid_over_cap(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("grid expanded past the cap")
+
+    monkeypatch.setattr(sweep, "itertools", types.SimpleNamespace(product=boom))
+    monkeypatch.setattr(sweep, "_grid_task", boom)
+    side = (0.05,) * 1001
+    axes = (("power", side), ("temperature", side))
+    with pytest.raises(ConfigError, match="cap"):
+        sweep.run_sweep(sweep.SweepSpec(params.reference_params(), axes))
 
 
 def test_csv_layout_and_roundtrip(tmp_path):
