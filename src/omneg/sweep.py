@@ -9,7 +9,6 @@ import itertools
 import math
 import multiprocessing
 import os
-import uuid
 
 import numpy as np
 
@@ -235,7 +234,7 @@ def write_csv(path, axis_names, rows) -> None:
     one rename: a failed write leaves an existing file untouched and no
     partial file behind.
     """
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
