@@ -95,11 +95,8 @@ def _parse_values(value: str, section: str, lineno: int | None):
         if count < 1:
             raise _fail(lineno, "linspace needs at least one point")
         if count > MAX_GRID_POINTS:
-            raise _fail(
-                lineno,
-                f"linspace count {count:.6g} exceeds the grid cap of "
-                f"{MAX_GRID_POINTS} points",
-            )
+            raise _fail(lineno, f"linspace count {count:.6g} exceeds the "
+                                f"grid cap of {MAX_GRID_POINTS} points")
         grid = np.linspace(float(m.group(1)), float(m.group(2)), int(count))
         return tuple(float(v) for v in grid), scaled
     m = _LIST_RE.match(value)

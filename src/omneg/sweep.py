@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import enum
 import itertools
 import math
 import multiprocessing
@@ -182,9 +181,7 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise ConfigError(f"axis {name!r} has no values")
     size = math.prod(len(values) for _, values in spec.axes)
     if size > MAX_GRID_POINTS:
-        raise ConfigError(
-            f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS} points"
-        )
+        raise ConfigError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
     if not isinstance(spec.parallel, int) or spec.parallel < 1:
         raise ConfigError(f"parallel must be an integer >= 1, got {spec.parallel!r}")
 
@@ -221,7 +218,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, enum.IntEnum)) and not isinstance(value, bool):
+    if isinstance(value, int):
         return str(int(value))
     return f"{value:.17g}"
 
@@ -229,33 +226,20 @@ def _fmt(value) -> str:
 def write_csv(path, axis_names, rows) -> None:
     """Write rows as RFC-4180 CSV: header, 17-digit floats, \\n endings.
 
-    The table goes to a new file beside the target, created with the
-    mode a plain open() would give, which then replaces the target in
-    one rename: a failed write leaves an existing file untouched and no
-    partial file behind.
+    The table is written beside the target and renamed over it, so a
+    failed write leaves an existing file untouched and no partial file.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # 0o666 under the umask: the mode a plain open(path, "w") gives
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(list(axis_names) + list(CSV_COLUMNS))
             for row in rows:
-                res = row.result
                 writer.writerow(
                     [_fmt(v) for v in row.axis_values]
-                    + [
-                        _fmt(res.nbar),
-                        _fmt(res.abs_c_s),
-                        _fmt(res.q1s),
-                        _fmt(res.g_m),
-                        _fmt(res.stable),
-                        _fmt(res.max_real_part),
-                        _fmt(res.sigma),
-                        _fmt(res.varrho),
-                        _fmt(res.log_negativity),
-                        _fmt(int(res.error_code)),
-                    ]
+                    + [_fmt(getattr(row.result, name)) for name in CSV_COLUMNS]
                 )
         os.replace(tmp, path)
     except BaseException:
