@@ -82,7 +82,9 @@ def run_stages(p: SystemParams) -> Stages:
         v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
         ent = entanglement.log_negativity(entanglement.reduce_mechanical(v))
     except PointFailure as exc:
-        return Stages(nbar, derived, report, ent, failure=exc)
+        # kept without its traceback, whose frames link back to the
+        # caller's local holding this record: a reference cycle per row
+        return Stages(nbar, derived, report, ent, failure=exc.with_traceback(None))
     return Stages(nbar, derived, report, ent)
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import types
@@ -108,6 +109,21 @@ def test_stage_failure_maps_to_row_json_and_search(
 
     with pytest.raises(exc):
         sweep.critical_temperature(fig5a_base(), 1e-3, 0.064, 1e-5)
+
+
+def test_failed_rows_leave_no_reference_cycles():
+    # a cycle per failed row is freed only by the cyclic collector, so
+    # a grid's memory would peak higher before it runs
+    gc.collect()
+    gc.disable()
+    try:
+        r = sweep.evaluate_point(
+            params.reference_params(detuning=-OMEGA, coulomb_lambda=0.95 * OMEGA)
+        )
+        assert r.error_code == sweep.ErrorCode.UNSTABLE
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_sweep_zero_axes_single_row():
