@@ -106,6 +106,8 @@ def stability(m, omega_scale: float | None = None) -> StabilityReport:
     Pass omega_scale for matrices built some other way.
     """
     arr = np.asarray(m, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"m must be a square matrix, got shape {arr.shape}")
     if omega_scale is None:
         # recovered scale 0 (no frequency at (0,1)) degrades the margin
         # to a plain sign test
@@ -126,9 +128,11 @@ def steady_covariance(m, d, omega_scale: float | None = None) -> np.ndarray:
     """Steady covariance V solving M V + V M^T = -D.
 
     The 6x6 equation is vectorized row-major into a 36x36 linear solve.
-    Raises UnstableSystem when the drift spectrum fails the stability
-    margin and SingularSolve when the solve degenerates or leaves a
-    residual above RESIDUAL_RTOL * ||D||_F.
+    Raises EigenFailure when the drift spectrum cannot be computed (for
+    example, a non-finite M), UnstableSystem when it fails the stability
+    margin, and SingularSolve when the solve degenerates or leaves a
+    residual above RESIDUAL_RTOL * ||D||_F; a V that overflows leaves a
+    NaN residual, which fails that test too.
     """
     marr = np.asarray(m, dtype=float)
     darr = np.asarray(d, dtype=float)
@@ -144,7 +148,7 @@ def steady_covariance(m, d, omega_scale: float | None = None) -> np.ndarray:
     v = 0.5 * (v + v.T)
     residual = smallmat.frob_norm(marr @ v + v @ marr.T + darr)
     dnorm = smallmat.frob_norm(darr)
-    if residual > RESIDUAL_RTOL * dnorm:
+    if not residual <= RESIDUAL_RTOL * dnorm:
         raise SingularSolve(
             f"Lyapunov residual {residual:.3e} exceeds "
             f"{RESIDUAL_RTOL:.0e} * ||D||_F = {RESIDUAL_RTOL * dnorm:.3e}"
@@ -158,9 +162,9 @@ def evolve_covariance(m, d, v0, t_end: float, dt: float) -> np.ndarray:
     Classic fourth-order Runge-Kutta with fixed step h = t_end/N,
     N = ceil(t_end/dt). For this linear ODE every RK4 step applies one
     fixed affine map vec(V) -> A vec(V) + b, so the N-step composition
-    is assembled by repeated squaring of that map instead of stepping
-    N times; the composition is the same map the literal loop would
-    apply. dt must not exceed 0.1/||M||_2 (raises StepTooLarge).
+    is the N-th matrix power of that map in augmented form instead of N
+    literal steps; it is the same map the literal loop would apply. dt
+    must not exceed 0.1/||M||_2 (raises StepTooLarge).
     """
     marr = np.asarray(m, dtype=float)
     darr = np.asarray(d, dtype=float)
@@ -191,28 +195,14 @@ def evolve_covariance(m, d, v0, t_end: float, dt: float) -> np.ndarray:
     step_a = eye + hs @ (eye + (hs / 2.0) @ (eye + (hs / 3.0) @ (eye + hs / 4.0)))
     dvec = darr.ravel()
     step_b = h * (dvec + hs @ (dvec / 2.0 + hs @ (dvec / 6.0 + hs @ (dvec / 24.0))))
-    # symmetrize after every step so roundoff cannot skew V
-    perm = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            perm[i * n + j, j * n + i] = 1.0
-    sym = 0.5 * (eye + perm)
-    step_a = sym @ step_a
-    step_b = sym @ step_b
-
-    # compose nsteps copies of v -> A v + b by binary exponentiation
-    acc_a = eye
-    acc_b = np.zeros(n * n)
-    base_a = step_a
-    base_b = step_b
-    k = nsteps
-    while k:
-        if k & 1:
-            acc_b = base_a @ acc_b + base_b
-            acc_a = base_a @ acc_a
-        k >>= 1
-        if k:
-            base_b = base_a @ base_b + base_b
-            base_a = base_a @ base_a
-    out = (acc_a @ varr.ravel() + acc_b).reshape(n, n)
+    # symmetrize after every step so roundoff cannot skew V; row-major
+    # vec(V^T) is vec(V) permuted by (i, j) -> (j, i)
+    transpose = np.arange(n * n).reshape(n, n).T.ravel()
+    # the step as one augmented matrix [[A, b], [0, 1]] acting on
+    # (vec(V), 1), so nsteps steps are its nsteps-th power
+    step = np.eye(n * n + 1)
+    step[:-1, :-1] = 0.5 * (step_a + step_a[transpose])
+    step[:-1, -1] = 0.5 * (step_b + step_b[transpose])
+    total = np.linalg.matrix_power(step, nsteps)
+    out = (total[:-1, :-1] @ varr.ravel() + total[:-1, -1]).reshape(n, n)
     return 0.5 * (out + out.T)

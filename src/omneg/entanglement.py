@@ -68,24 +68,32 @@ def log_negativity(reduced: ReducedCovariance) -> EntanglementResult:
     transpose: varrho^2 = (Sigma - sqrt(Sigma^2 - 4 det V)) / 2 with
     Sigma = det phi1 + det phi2 - 2 det phi3. The state is entangled
     exactly when varrho < 1/2 (vacuum variance). Raises
-    NonPhysicalState when either square root argument is negative
-    beyond roundoff.
+    NonPhysicalState when Sigma^2 - 4 det V is not finite, which also
+    covers a non-finite Sigma or det V, or when either square root
+    argument is negative beyond roundoff.
     """
     det1 = smallmat.det(reduced.phi1)
     det2 = smallmat.det(reduced.phi2)
     det3 = smallmat.det(reduced.phi3)
     detv = smallmat.det(reduced.assembled())
     sigma = det1 + det2 - 2.0 * det3
-    eps = PHYS_EPS_FLOOR * max(1.0, sigma * sigma)
     disc = sigma * sigma - 4.0 * detv
-    if disc < -eps:
+    # eps below scales with Sigma^2, so an overflowed Sigma^2 would
+    # excuse any excursion; such invariants cannot be classified
+    if not math.isfinite(disc):
+        raise NonPhysicalState(
+            f"Sigma = {sigma:.6g}, det V = {detv:.6g}: Sigma^2 - 4 det V is "
+            "not finite; the matrix is not a valid two-mode covariance"
+        )
+    eps = PHYS_EPS_FLOOR * max(1.0, sigma * sigma)
+    if not disc >= -eps:
         raise NonPhysicalState(
             f"Sigma^2 - 4 det V = {disc:.6g} is negative beyond roundoff; "
             "the matrix is not a valid two-mode covariance"
         )
     disc = max(disc, 0.0)
     inner = 0.5 * (sigma - math.sqrt(disc))
-    if inner < -eps:
+    if not inner >= -eps:
         raise NonPhysicalState(
             f"squared symplectic eigenvalue {inner:.6g} is negative beyond "
             "roundoff; the matrix is not a valid two-mode covariance"

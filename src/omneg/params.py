@@ -97,7 +97,8 @@ class SystemParams:
         for name in _NONNEGATIVE_FIELDS:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.coulomb_lambda ** 2 >= self.omega_m1 * self.omega_m2:
+        # a product, not ** 2, which raises OverflowError past ~1.3e154
+        if self.coulomb_lambda * self.coulomb_lambda >= self.omega_m1 * self.omega_m2:
             raise ValueError(
                 "coulomb_lambda^2 must stay below omega_m1*omega_m2; "
                 f"got lambda={self.coulomb_lambda}"

@@ -1,10 +1,11 @@
-"""Small dense real-matrix kernel.
+"""Small dense real-matrix kernels: eigenvalues, elimination, Kronecker.
 
-Sizes are bounded by the 6x6 drift matrix and its 36x36 vectorized
-Lyapunov system, so everything here works on plain float64 ndarrays.
-Eigenvalues go through LAPACK (Hessenberg reduction plus shifted QR,
-exactly what this size would otherwise warrant hand-rolling); the
-elimination kernels are local so the pivot policy stays explicit.
+Callers pass float64 ndarrays of the right shape; validation belongs to
+the public entry points in ``dynamics`` and ``entanglement``, and
+non-finite arithmetic is classified by their stage guards. Eigenvalues
+go through LAPACK, whose own finiteness check turns a non-finite matrix
+into EigenFailure; the elimination kernels are local so the pivot
+policy stays explicit.
 """
 
 from __future__ import annotations
@@ -15,53 +16,28 @@ from .errors import EigenFailure, SingularSolve
 
 __all__ = ["eigenvalues", "solve", "det", "kron", "frob_norm"]
 
-MAX_SIDE = 36
-EIG_MAX_SIDE = 6
 # pivots below PIVOT_RTOL * ||A||_inf count as singular
 PIVOT_RTOL = 1e-14
 
 
-def _as_matrix(a, max_side: int, name: str = "a") -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
-    if arr.shape[0] > max_side or arr.shape[1] > max_side:
-        raise ValueError(f"{name} exceeds the {max_side}x{max_side} size cap: {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
-
-
-def _as_square(a, max_side: int, name: str = "a") -> np.ndarray:
-    arr = _as_matrix(a, max_side, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a real square matrix (n <= 6) as complex128."""
-    arr = _as_square(a, EIG_MAX_SIDE)
+    """All eigenvalues of a real square matrix as complex128."""
     try:
-        w = np.linalg.eigvals(arr)
+        w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"eigenvalue iteration failed: {exc}") from exc
     return np.asarray(w, dtype=complex)
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve A x = b (n <= 36) by Gaussian elimination with partial pivoting.
+    """Solve A x = b by Gaussian elimination with partial pivoting.
 
     Raises SingularSolve when a pivot magnitude falls below
     PIVOT_RTOL * ||A||_inf.
     """
-    arr = np.array(_as_square(a, MAX_SIDE), dtype=float)
-    vec = np.array(np.asarray(b, dtype=float), copy=True)
+    arr = np.array(a, dtype=float)
+    vec = np.array(b, dtype=float)
     n = arr.shape[0]
-    if vec.shape != (n,):
-        raise ValueError(f"b must be a length-{n} vector, got shape {vec.shape}")
-    if vec.size and not np.isfinite(vec).all():
-        raise ValueError("b has non-finite entries")
     anorm = float(np.abs(arr).sum(axis=1).max()) if n else 0.0
     threshold = PIVOT_RTOL * anorm
     for k in range(n):
@@ -83,7 +59,7 @@ def solve(a, b) -> np.ndarray:
 
 def det(a) -> float:
     """Determinant of a 2x2 (cofactor) or 4x4 (pivoted elimination) matrix."""
-    arr = _as_square(a, 4)
+    arr = np.asarray(a, dtype=float)
     n = arr.shape[0]
     if n == 2:
         return float(arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0])
@@ -104,17 +80,11 @@ def det(a) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product; the result must fit the 36x36 cap."""
-    lhs = _as_matrix(a, MAX_SIDE)
-    rhs = _as_matrix(b, MAX_SIDE)
-    rows = lhs.shape[0] * rhs.shape[0]
-    cols = lhs.shape[1] * rhs.shape[1]
-    if rows > MAX_SIDE or cols > MAX_SIDE:
-        raise ValueError(f"kron result {rows}x{cols} exceeds the {MAX_SIDE} cap")
-    return np.kron(lhs, rhs)
+    """Kronecker product."""
+    return np.kron(a, b)
 
 
 def frob_norm(a) -> float:
     """Frobenius norm sqrt(sum a_ij^2)."""
-    arr = _as_matrix(a, MAX_SIDE)
+    arr = np.asarray(a, dtype=float)
     return float(np.sqrt((arr * arr).sum()))

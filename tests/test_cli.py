@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from omneg import cli, config, sweep
+from omneg import cli, config, errors, sweep
 
 TWO_PI = 2.0 * math.pi
 OMEGA = TWO_PI * 1e8
@@ -105,6 +105,8 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
 def test_bad_usage_is_exit_one(capsys):
     assert run_cli(capsys, ["sweep"])[0] == 1
     assert run_cli(capsys, ["point", "--set", "nope=1"])[0] == 1
+    # lambda^2 overflows: still an invalid parameter, not a traceback
+    assert run_cli(capsys, ["point", "--set", "coulomb_lambda=1e200"])[0] == 1
     assert run_cli(capsys, ["no-such-command"])[0] == 1
 
 
@@ -122,6 +124,39 @@ def test_sweep_writes_csv(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 4
     assert lines[0].startswith("detuning,")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "lines, codes",
+    [
+        (["base.power = 1e300"], [4]),
+        (["base.temperature = 1e300"], [6]),
+        (["base.temperature = 1e200"], [7]),
+        (
+            [
+                "base.coulomb_lambda_in_omega_m = 0.95",
+                "axes.temperature = list(0.004, 1e200, 1e300)",
+            ],
+            [0, 7, 6],
+        ),
+        (["axes.coulomb_lambda = list(0, 1e200)"], [0, 1]),
+    ],
+    ids=["power", "temperature-1e300", "temperature-1e200", "temperature-axis", "lambda-axis"],
+)
+def test_overflowing_stage_reports_its_code(tmp_path, capsys, lines, codes):
+    # valid but extreme inputs overflow one stage; its row code (or the
+    # point JSON error) names that stage instead of a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "rows.csv"
+    assert run_cli(capsys, ["sweep", "--config", str(cfg), "--out", str(out)])[0] == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [int(row.rsplit(",", 1)[1]) for row in rows] == codes
+    if len(codes) == 1:
+        code, text, _ = run_cli(capsys, ["point", "--config", str(cfg)])
+        assert code == 0
+        assert getattr(errors, json.loads(text)["error"]["name"]).code == codes[0]
 
 
 def test_sweep_unwritable_out_is_io_error(tmp_path, capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from omneg import dynamics, params
-from omneg.errors import SingularSolve, StepTooLarge, UnstableSystem
+from omneg import dynamics, params, smallmat
+from omneg.errors import PointFailure, SingularSolve, StepTooLarge, UnstableSystem
 
 TWO_PI = 2.0 * math.pi
 # frozen mechanical diffusion entry gamma_m*(2*nbar+1) at the reference point
@@ -98,6 +101,12 @@ def test_stability_margin_uses_omega_scale():
         dynamics.stability(m, omega_scale=-1.0)
 
 
+def test_stability_rejects_non_square_matrix():
+    for bad in (np.zeros((2, 3)), np.zeros(6), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            dynamics.stability(bad)
+
+
 def test_stability_scale_recovered_from_drift_layout():
     p = params.reference_params(coulomb_lambda=0.95 * params.reference_params().omega_m1)
     g_m = params.derive(p).g_m
@@ -179,6 +188,38 @@ def test_steady_covariance_singular_solve_guard():
     m = np.diag([-1.0] * 5 + [-1e-300])
     with pytest.raises(SingularSolve):
         dynamics.steady_covariance(m, np.eye(6), omega_scale=1e-300)
+
+
+ANY_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300])
+)
+# arbitrary matrices are almost never stable, so half the draws are
+# finite triangular ones with a stable diagonal: they reach the solve,
+# and their large entries overflow it
+DRIFTS = st.one_of(
+    hnp.arrays(float, (6, 6), elements=ANY_FLOAT),
+    st.builds(
+        lambda upper, diag: np.triu(upper, 1) + np.diag(diag),
+        hnp.arrays(float, (6, 6), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        hnp.arrays(float, 6, elements=st.floats(-1e300, -1e-6)),
+    ),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None)
+@given(m=DRIFTS, d=hnp.arrays(float, 6, elements=st.floats(0.0, 1e308)))
+def test_steady_covariance_fails_cleanly_or_meets_residual(m, d):
+    # overflow anywhere in the chain must surface as a PointFailure,
+    # never as a crash or a non-finite "solved" V
+    dmat = np.diag(d)
+    try:
+        v = dynamics.steady_covariance(m, dmat, omega_scale=1.0)
+    except PointFailure:
+        return
+    assert np.isfinite(v).all()
+    residual = smallmat.frob_norm(m @ v + v @ m.T + dmat)
+    assert residual <= dynamics.RESIDUAL_RTOL * smallmat.frob_norm(dmat)
 
 
 def test_evolve_zero_time_returns_copy():

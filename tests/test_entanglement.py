@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from omneg import entanglement
 from omneg.errors import NonPhysicalState
@@ -139,3 +142,26 @@ def test_zero_varrho_maps_to_infinity():
     assert res.varrho == 0.0
     assert res.log_negativity == math.inf
     assert res.entangled
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    upper=hnp.arrays(
+        float,
+        (4, 4),
+        elements=st.one_of(
+            st.floats(), st.sampled_from([np.inf, -np.inf, np.nan, 1e154, -1e154])
+        ),
+    )
+)
+def test_log_negativity_fails_cleanly_or_is_well_defined(upper):
+    # overflowing or non-finite invariants are NonPhysicalState, never a
+    # non-finite sigma/varrho or a NaN E_N reported as a result
+    v4 = np.triu(upper) + np.triu(upper, 1).T
+    try:
+        res = entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(v4)))
+    except NonPhysicalState:
+        return
+    assert math.isfinite(res.sigma) and math.isfinite(res.varrho)
+    assert res.log_negativity >= 0.0

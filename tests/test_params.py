@@ -101,6 +101,9 @@ def test_params_reject_overstrong_coulomb():
     p = params.reference_params()
     with pytest.raises(ValueError):
         params.reference_params(coulomb_lambda=p.omega_m1)
+    # lambda^2 overflows a float: rejected the same way, not OverflowError
+    with pytest.raises(ValueError):
+        params.reference_params(coulomb_lambda=1e200)
     # just below the bound is accepted
     params.reference_params(coulomb_lambda=0.999 * p.omega_m1)
 

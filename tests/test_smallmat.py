@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from omneg import smallmat
-from omneg.errors import SingularSolve
+from omneg.errors import EigenFailure, SingularSolve
 
 
 def test_eigenvalues_of_diagonal_matrix():
@@ -19,16 +19,10 @@ def test_eigenvalues_of_rotation_block():
     assert np.abs(w.real).max() < 1e-12
 
 
-def test_eigenvalues_size_cap():
-    with pytest.raises(ValueError):
-        smallmat.eigenvalues(np.eye(7))
-
-
-def test_eigenvalues_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(ValueError):
-        smallmat.eigenvalues(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        smallmat.eigenvalues([[np.nan, 0.0], [0.0, 1.0]])
+def test_eigenvalues_nonfinite_raises_eigen_failure():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(EigenFailure):
+            smallmat.eigenvalues([[bad, 0.0], [0.0, 1.0]])
 
 
 def test_solve_recovers_known_solution():
@@ -64,8 +58,6 @@ def test_solve_pivot_threshold_is_relative_to_matrix_norm():
 def test_solve_shape_checks():
     with pytest.raises(ValueError):
         smallmat.solve(np.eye(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        smallmat.solve(np.eye(37), np.zeros(37))
 
 
 def test_det_2x2():
@@ -95,11 +87,6 @@ def test_kron_block_structure():
     k = smallmat.kron(a, b)
     assert k.shape == (4, 4)
     assert np.array_equal(k[0:2, 2:4], 2.0 * b)
-
-
-def test_kron_result_size_cap():
-    with pytest.raises(ValueError):
-        smallmat.kron(np.eye(9), np.eye(5))
 
 
 def test_frob_norm():
