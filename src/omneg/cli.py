@@ -74,7 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     crit.add_argument("--config", required=True, help="config file (base.* keys only)")
     crit.add_argument("--t-lo", type=float, default=1e-3, help="floor in K")
     crit.add_argument("--t-hi", type=float, default=1.0, help="ceiling in K")
-    crit.add_argument("--tol", type=float, default=1e-5, help="bracket width in K")
+    crit.add_argument(
+        "--tol",
+        type=float,
+        default=1e-5,
+        help="bracket width in K; bisection also stops at float resolution",
+    )
     crit.set_defaults(func=_cmd_critical)
     return parser
 

@@ -11,10 +11,12 @@ Grammar, one statement per line (``#`` starts a comment):
 whose values are multiples of ``omega_m1``. Giving both spellings of
 one parameter in a section, repeating a key, or combining the
 ``_in_omega_m`` spelling with an explicit ``* omega_m1`` factor is a
-ConfigError. Scaling always resolves against the base ``omega_m1``
-(file value or default), even when ``omega_m1`` itself is swept.
-Parameters present in both sections take the axis value at every grid
-point.
+ConfigError, reported for the first faulty line. Scaling always
+resolves against the base ``omega_m1`` (file value or default), even
+when ``omega_m1`` itself is swept. Parameters present in both sections
+take the axis value at every grid point. A ``name=value`` override is
+a ``base.`` statement without its prefix, and goes through the same
+statement parser and resolver as a file line.
 """
 
 from __future__ import annotations
@@ -61,20 +63,6 @@ def _fail(lineno: int | None, message: str) -> ConfigError:
     return ConfigError(where + message)
 
 
-def _split_key(key: str, lineno: int | None):
-    """(section, canonical name, scaled-alias flag) for a dotted key."""
-    if "." not in key:
-        raise _fail(lineno, f"key {key!r} needs a base. or axes. prefix")
-    section, _, name = key.partition(".")
-    if section not in ("base", "axes"):
-        raise _fail(lineno, f"unknown section {section!r} (expected base or axes)")
-    if name in SCALED_ALIASES:
-        return section, SCALED_ALIASES[name], True
-    if name in PARAM_NAMES:
-        return section, name, False
-    raise _fail(lineno, f"unknown parameter {name!r}")
-
-
 def _parse_values(value: str, section: str, lineno: int | None):
     """(values tuple, wants-omega-scale flag) for a raw value string."""
     scaled = False
@@ -113,14 +101,64 @@ def _parse_values(value: str, section: str, lineno: int | None):
     raise _fail(lineno, f"cannot parse value {value!r}")
 
 
+def _statement(key: str, value: str, lineno: int | None = None,
+               section: str | None = None):
+    """(section, canonical name, values, scaled) for one ``key = value``.
+
+    ``key`` carries its ``base.``/``axes.`` prefix unless ``section``
+    is given; ``scaled`` marks values that are multiples of omega_m1.
+    """
+    name = key
+    if section is None:
+        if "." not in key:
+            raise _fail(lineno, f"key {key!r} needs a base. or axes. prefix")
+        section, _, name = key.partition(".")
+        if section not in ("base", "axes"):
+            raise _fail(lineno, f"unknown section {section!r} (expected base or axes)")
+    canonical = SCALED_ALIASES.get(name, name)
+    if canonical not in PARAM_NAMES:
+        raise _fail(lineno, f"unknown parameter {name!r}")
+    values, scaled = _parse_values(value, section, lineno)
+    alias = name in SCALED_ALIASES
+    if alias and scaled:
+        raise _fail(lineno, f"{key!r} is already a multiple of omega_m1")
+    if scaled and canonical == "omega_m1":
+        raise _fail(lineno, "omega_m1 cannot be scaled by itself")
+    return section, canonical, values, alias or scaled
+
+
+def _resolve(base: SystemParams, settings: dict, invalid: str):
+    """(SystemParams, axes) from {(section, name): (values, scaled)}.
+
+    Scaled values resolve against the settings' base omega_m1, else
+    ``base.omega_m1``; base settings replace fields of ``base``.
+    """
+    omega = settings.get(("base", "omega_m1"))
+    omega_scale = omega[0][0] if omega else base.omega_m1
+    kwargs: dict[str, float] = {}
+    axes: list[tuple[str, tuple[float, ...]]] = []
+    for (section, name), (values, scaled) in settings.items():
+        if scaled:
+            values = tuple(v * omega_scale for v in values)
+        if section == "base":
+            kwargs[name] = values[0]
+        else:
+            axes.append((name, values))
+    try:
+        return dataclasses.replace(base, **kwargs), axes
+    except ValueError as exc:
+        raise ConfigError(f"{invalid}: {exc}") from exc
+
+
 def parse_config(text: str):
     """Parse config text into (base SystemParams, ordered axes list).
 
     Axes come back as [(parameter-name, value-tuple), ...] in file
-    order. Raises ConfigError on any grammar or schema violation;
-    SystemParams validation failures surface as ConfigError too.
+    order. Raises ConfigError for the first line that breaks the
+    grammar or the schema; SystemParams validation failures surface as
+    ConfigError too.
     """
-    entries = []
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,42 +170,11 @@ def parse_config(text: str):
         value = value.strip()
         if not value:
             raise _fail(lineno, f"empty value for {key!r}")
-        section, name, alias = _split_key(key, lineno)
-        values, scaled = _parse_values(value, section, lineno)
-        if alias and scaled:
-            raise _fail(lineno, f"{key!r} is already a multiple of omega_m1")
-        entries.append((lineno, section, name, alias or scaled, values))
-
-    seen: set[tuple[str, str]] = set()
-    for lineno, section, name, _, _ in entries:
-        if (section, name) in seen:
+        section, name, values, scaled = _statement(key, value, lineno)
+        if (section, name) in settings:
             raise _fail(lineno, f"duplicate setting of {section}.{name}")
-        seen.add((section, name))
-
-    omega_scale = SystemParams.__dataclass_fields__["omega_m1"].default
-    for lineno, section, name, scaled, values in entries:
-        if section == "base" and name == "omega_m1":
-            if scaled:
-                raise _fail(lineno, "omega_m1 cannot be scaled by itself")
-            omega_scale = values[0]
-
-    base_kwargs: dict[str, float] = {}
-    axes: list[tuple[str, tuple[float, ...]]] = []
-    for lineno, section, name, scaled, values in entries:
-        if scaled and name == "omega_m1":
-            raise _fail(lineno, "omega_m1 cannot be scaled by itself")
-        if scaled:
-            values = tuple(v * omega_scale for v in values)
-        if section == "base":
-            base_kwargs[name] = values[0]
-        else:
-            axes.append((name, values))
-
-    try:
-        base = SystemParams(**base_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid base parameters: {exc}") from exc
-    return base, axes
+        settings[section, name] = (values, scaled)
+    return _resolve(SystemParams(), settings, "invalid base parameters")
 
 
 def load_config(path):
@@ -180,47 +187,24 @@ def load_config(path):
 def parse_override(spec: str):
     """Parse one ``name=value`` override into (canonical-name, value, scaled).
 
-    The value must be a single number, optionally ``* omega_m1`` scaled
-    or using the ``_in_omega_m`` spelling; scaling is resolved later
-    against the parameters being overridden.
+    ``name = value`` is a ``base.`` statement without its prefix: a
+    single number, optionally ``* omega_m1`` scaled or using the
+    ``_in_omega_m`` spelling; scaling is resolved later against the
+    parameters being overridden.
     """
     if "=" not in spec:
         raise ConfigError(f"override {spec!r} must look like name=value")
     key, _, value = spec.partition("=")
-    key = key.strip()
-    value = value.strip()
-    if key in SCALED_ALIASES:
-        name, alias = SCALED_ALIASES[key], True
-    elif key in PARAM_NAMES:
-        name, alias = key, False
-    else:
-        raise ConfigError(f"unknown parameter {key!r}")
-    values, scaled = _parse_values(value, "base", None)
-    if alias and scaled:
-        raise ConfigError(f"{key!r} is already a multiple of omega_m1")
-    if (alias or scaled) and name == "omega_m1":
-        raise ConfigError("omega_m1 cannot be scaled by itself")
-    return name, values[0], alias or scaled
+    _, name, values, scaled = _statement(key.strip(), value.strip(), section="base")
+    return name, values[0], scaled
 
 
 def apply_overrides(base: SystemParams, specs) -> SystemParams:
     """Apply ``name=value`` overrides to a SystemParams instance.
 
-    omega_m1 overrides land first so that scaled values resolve against
-    the final omega_m1; for repeats of one name the last wins.
+    For repeats of one name the last wins; scaled values resolve
+    against the final omega_m1.
     """
-    parsed = [parse_override(s) for s in specs]
-    resolved: dict[str, tuple[float, bool]] = {}
-    for name, value, scaled in parsed:
-        resolved[name] = (value, scaled)
-    kwargs: dict[str, float] = {}
-    omega_scale = base.omega_m1
-    if "omega_m1" in resolved:
-        omega_scale = resolved.pop("omega_m1")[0]
-        kwargs["omega_m1"] = omega_scale
-    for name, (value, scaled) in resolved.items():
-        kwargs[name] = value * omega_scale if scaled else value
-    try:
-        return dataclasses.replace(base, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameters after overrides: {exc}") from exc
+    settings = {("base", name): ((value,), scaled)
+                for name, value, scaled in map(parse_override, specs)}
+    return _resolve(base, settings, "invalid parameters after overrides")[0]

@@ -116,9 +116,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError(f"omega must be positive, got {omega}")
     if temperature < 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if temperature == 0.0:
+    kt = CONSTANTS.kB * temperature
+    if kt == 0.0:  # T = 0, or kB*T underflows
         return 0.0
-    x = CONSTANTS.hbar * omega / (CONSTANTS.kB * temperature)
+    x = CONSTANTS.hbar * omega / kt
     if x > 700.0:
         return 0.0
     return 1.0 / math.expm1(x)

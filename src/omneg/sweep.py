@@ -350,8 +350,9 @@ def critical_temperature(
     """Temperature where steady-state E_N falls to zero.
 
     A 32-point coarse scan over [t_lo, t_hi] brackets the last
-    positive-to-zero crossing, then bisection narrows it to width tol;
-    the bracket midpoint comes back. Raises NoEntanglementAtFloor when
+    positive-to-zero crossing, then bisection narrows it to width tol
+    or to float resolution, whichever comes first; the bracket midpoint
+    comes back. Raises NoEntanglementAtFloor when
     E_N(t_lo) = 0 and NoDeathBelowCeiling when E_N(t_hi) > 0; pipeline
     failures at any probed temperature propagate.
     """
@@ -365,26 +366,27 @@ def critical_temperature(
             dataclasses.replace(p, temperature=temperature)
         ).checked_en()
 
-    if en_at(t_lo) <= 0.0:
+    en_lo = en_at(t_lo)
+    if en_lo <= 0.0:
         raise NoEntanglementAtFloor(
             f"no entanglement at the floor temperature {t_lo} K"
         )
-    if en_at(t_hi) > 0.0:
+    en_hi = en_at(t_hi)
+    if en_hi > 0.0:
         raise NoDeathBelowCeiling(
             f"entanglement survives at the ceiling temperature {t_hi} K"
         )
+    # linspace returns t_lo and t_hi exactly, so the guards' values end the scan
     grid = np.linspace(t_lo, t_hi, _COARSE_SCAN_POINTS)
-    values = [en_at(float(t)) for t in grid]
-    bracket = None
+    values = [en_lo, *(en_at(float(t)) for t in grid[1:-1]), en_hi]
+    # values[0] > 0 >= values[-1], so a crossing exists
     for i in range(_COARSE_SCAN_POINTS - 1):
         if values[i] > 0.0 and values[i + 1] <= 0.0:
-            bracket = (float(grid[i]), float(grid[i + 1]))
-    if bracket is None:
-        # unreachable once the floor/ceiling checks pass
-        raise RuntimeError("coarse scan found no positive-to-zero crossing")
-    lo, hi = bracket
+            lo, hi = float(grid[i]), float(grid[i + 1])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         if en_at(mid) > 0.0:
             lo = mid
         else:

@@ -86,6 +86,25 @@ def test_point_unstable_keeps_stability_block(capsys):
     assert doc["entanglement"] is None
 
 
+def test_point_underflowing_temperature_matches_zero(capsys):
+    # kB*T underflows to 0.0 at 1e-310 K, which used to divide by zero
+    docs = []
+    for temperature in ("0", "1e-310"):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "point",
+                "--set", "coulomb_lambda_in_omega_m=0.95",
+                "--set", f"temperature={temperature}",
+            ],
+        )
+        assert code == 0 and err == ""
+        docs.append(json.loads(out))
+    assert [doc["error"] for doc in docs] == [None, None]
+    assert docs[1]["derived"]["nbar"] == 0.0
+    assert docs[1]["entanglement"] == docs[0]["entanglement"]
+
+
 def test_point_rejects_axes_in_config(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("axes.detuning = list(1e8)\n")

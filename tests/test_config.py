@@ -210,3 +210,95 @@ def test_apply_overrides_omega_first_and_last_wins():
 def test_apply_overrides_invalid_result():
     with pytest.raises(ConfigError):
         config.apply_overrides(SystemParams(), ["mass=-1.0"])
+
+
+@pytest.mark.parametrize(
+    "statements",
+    [
+        ["power = 0.03"],
+        ["detuning = 0.5 * omega_m1"],
+        ["coulomb_lambda_in_omega_m = 0.95"],
+        ["detuning = 0.5 * omega_m1", "omega_m1 = 4.0e8"],
+        ["omega_m1 = 4.0e8", "coulomb_lambda_in_omega_m = 0.5"],
+    ],
+    ids=["plain", "scaled", "alias", "omega-after", "omega-before"],
+)
+def test_base_line_and_override_give_same_params(statements):
+    from_file, axes = config.parse_config(
+        "\n".join("base." + s for s in statements)
+    )
+    assert axes == [] and from_file != SystemParams()
+    assert config.apply_overrides(SystemParams(), statements) == from_file
+
+
+# one fault per input; the texts are pinned byte for byte
+FILE_FAULTS = [
+    ("base.power 0.05", "line 1: expected key = value, got 'base.power 0.05'"),
+    ("base.power = # note", "line 1: empty value for 'base.power'"),
+    ("power = 0.05", "line 1: key 'power' needs a base. or axes. prefix"),
+    ("sweep.power = 0.05",
+     "line 1: unknown section 'sweep' (expected base or axes)"),
+    ("base.frequency = 1.0", "line 1: unknown parameter 'frequency'"),
+    ("base.power = fifty", "line 1: cannot parse value 'fifty'"),
+    ("axes.power = 0.05",
+     "line 1: axes values must be linspace(...) or list(...)"),
+    ("base.power = list(1, 2)", "line 1: base values must be single numbers"),
+    ("axes.power = linspace(0, 1, 0)",
+     "line 1: linspace needs at least one point"),
+    ("axes.power = list()", "line 1: list(...) must not be empty"),
+    ("axes.power = list(1, x)", "line 1: bad number 'x' in list(...)"),
+    ("base.detuning_in_omega_m = 0.5 * omega_m1",
+     "line 1: 'base.detuning_in_omega_m' is already a multiple of omega_m1"),
+    ("base.power = 1\naxes.omega_m1 = list(1.0, 2.0) * omega_m1",
+     "line 2: omega_m1 cannot be scaled by itself"),
+    ("base.detuning = 1.0\nbase.detuning = 2.0",
+     "line 2: duplicate setting of base.detuning"),
+    ("base.detuning = 1.0\nbase.detuning_in_omega_m = 0.5",
+     "line 2: duplicate setting of base.detuning"),
+    ("base.mass = -1.0",
+     "invalid base parameters: mass must be positive, got -1.0"),
+]
+OVERRIDE_FAULTS = [
+    (["power"], "override 'power' must look like name=value"),
+    (["power="], "cannot parse value ''"),
+    (["nope=1.0"], "unknown parameter 'nope'"),
+    (["base.power=1"], "unknown parameter 'base.power'"),
+    (["power=list(1, 2)"], "base values must be single numbers"),
+    (["detuning_in_omega_m=0.5 * omega_m1"],
+     "'detuning_in_omega_m' is already a multiple of omega_m1"),
+    (["omega_m1=2.0 * omega_m1"], "omega_m1 cannot be scaled by itself"),
+    (["power=0.03", "mass=-1.0"],
+     "invalid parameters after overrides: mass must be positive, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("text, message", FILE_FAULTS)
+def test_config_fault_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        config.parse_config(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("specs, message", OVERRIDE_FAULTS)
+def test_override_fault_messages(specs, message):
+    with pytest.raises(ConfigError) as info:
+        config.apply_overrides(SystemParams(), specs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("base.power = 1\nbase.power = 2\nbase.nope = 3",
+         "line 2: duplicate setting of base.power"),
+        ("base.omega_m1 = 2 * omega_m1\nbase.power = 1\nbase.power = 2",
+         "line 1: omega_m1 cannot be scaled by itself"),
+        ("axes.omega_m1 = list(1) * omega_m1\nbase.omega_m1 = 2 * omega_m1",
+         "line 1: omega_m1 cannot be scaled by itself"),
+    ],
+    ids=["duplicate-first", "self-scaled-first", "axes-self-scaled-first"],
+)
+def test_first_faulty_line_is_reported(text, message):
+    with pytest.raises(ConfigError) as info:
+        config.parse_config(text)
+    assert str(info.value) == message

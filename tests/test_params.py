@@ -43,6 +43,8 @@ def test_thermal_occupation_ln2_point():
 def test_thermal_occupation_underflows_to_zero():
     # x > 700 would overflow expm1; treated as unoccupied
     assert params.thermal_occupation(1e15, 1e-9) == 0.0
+    # kB*T underflows to 0.0, which would divide by zero
+    assert params.thermal_occupation(2.0 * math.pi * 1e8, 1e-310) == 0.0
 
 
 def test_thermal_occupation_input_checks():

@@ -24,6 +24,8 @@ OMEGA = TWO_PI * 1e8
 # frozen pipeline values at the strongest-coupling reference point
 NBAR_REF = 0.43112949691588682
 EN_REF = 0.35271388618958205
+# critical temperature of fig5a_base() over [1e-3, 0.064] K at tol 1e-5
+T_C_REF = 0.03051140372983871
 
 
 def strong_point() -> params.SystemParams:
@@ -292,6 +294,38 @@ def test_critical_temperature_brackets_death():
     )
     assert dead.error_code == sweep.ErrorCode.OK
     assert dead.log_negativity == 0.0
+
+
+def probed_temperatures(monkeypatch, limit=500):
+    """Temperatures run_stages sees, in call order; fails past ``limit``."""
+    seen = []
+    run = sweep.run_stages
+
+    def counted(p):
+        seen.append(p.temperature)
+        if len(seen) > limit:
+            raise AssertionError(f"more than {limit} pipeline runs")
+        return run(p)
+
+    monkeypatch.setattr(sweep, "run_stages", counted)
+    return seen
+
+
+def test_critical_temperature_probes_no_temperature_twice(monkeypatch):
+    seen = probed_temperatures(monkeypatch)
+    t_c = sweep.critical_temperature(fig5a_base(), 1e-3, 0.064, 1e-5)
+    assert t_c == T_C_REF
+    # floor and ceiling guards, 30 inner scan points, 8 bisection steps
+    assert seen[:2] == [1e-3, 0.064]
+    assert len(seen) == len(set(seen)) == 40
+
+
+def test_critical_temperature_stops_at_float_resolution(monkeypatch):
+    # a tol below float spacing used to bisect adjacent floats for ever
+    seen = probed_temperatures(monkeypatch)
+    t_c = sweep.critical_temperature(fig5a_base(), 1e-3, 0.064, 1e-300)
+    assert abs(t_c - T_C_REF) <= 0.5e-5
+    assert len(seen) == len(set(seen))
 
 
 def test_critical_temperature_floor_and_ceiling_guards():
