@@ -83,7 +83,7 @@ def _parse_values(value: str, section: str, lineno: int | None):
         if count < 1:
             raise _fail(lineno, "linspace needs at least one point")
         if count > MAX_GRID_POINTS:
-            raise _fail(lineno, f"linspace count {count:.6g} exceeds the "
+            raise _fail(lineno, f"linspace count {m.group(3)} exceeds the "
                                 f"grid cap of {MAX_GRID_POINTS} points")
         grid = np.linspace(float(m.group(1)), float(m.group(2)), int(count))
         return tuple(float(v) for v in grid), scaled
@@ -108,6 +108,8 @@ def _statement(key: str, value: str, lineno: int | None = None,
     ``key`` carries its ``base.``/``axes.`` prefix unless ``section``
     is given; ``scaled`` marks values that are multiples of omega_m1.
     """
+    if not value:
+        raise _fail(lineno, f"empty value for {key!r}")
     name = key
     if section is None:
         if "." not in key:
@@ -166,11 +168,7 @@ def parse_config(text: str):
         if "=" not in line:
             raise _fail(lineno, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not value:
-            raise _fail(lineno, f"empty value for {key!r}")
-        section, name, values, scaled = _statement(key, value, lineno)
+        section, name, values, scaled = _statement(key.strip(), value.strip(), lineno)
         if (section, name) in settings:
             raise _fail(lineno, f"duplicate setting of {section}.{name}")
         settings[section, name] = (values, scaled)

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from . import dynamics, entanglement, params as params_mod
-from .config import MAX_GRID_POINTS, PARAM_NAMES
+from .config import MAX_GRID_POINTS, PARAM_NAMES, parse_config
 from .dynamics import StabilityReport
 from .entanglement import EntanglementResult
 from .errors import (
@@ -38,6 +38,7 @@ __all__ = [
     "figure_spec",
     "figure_dataset",
     "FIGURE_NAMES",
+    "FIGURE_CONFIGS",
     "critical_temperature",
 ]
 
@@ -249,91 +250,63 @@ def write_csv(path, axis_names, rows) -> None:
         raise
 
 
-FIGURE_NAMES = ("fig2", "fig3", "fig4", "fig5a", "fig5b")
-
-_DETUNING_GRID_POINTS = 401
-_TEMP_GRID_POINTS = 201
-_TEMP_FLOOR = 1e-3
-_TEMP_CEILING_START = 8e-3
-_TEMP_CEILING_CAP = 1.0
-_FIG5_POWERS = (0.03, 0.05, 0.08, 0.10)
-
-
-def _detuning_grid(omega_m1: float) -> tuple[float, ...]:
-    grid = np.linspace(0.0, 2.0, _DETUNING_GRID_POINTS) * omega_m1
-    return tuple(float(v) for v in grid)
-
-
-def _fig5_ceiling(base: SystemParams) -> float:
-    """Smallest doubling of 8 mK at which every power family is dead.
-
-    Doubles until either all four drive powers give E_N = 0 or the 1 K
-    cap is hit, so the temperature grid always brackets each family's
-    entanglement death when one exists below the cap.
-    """
-    ceiling = _TEMP_CEILING_START
-    while ceiling < _TEMP_CEILING_CAP:
-        dead = all(
-            run_stages(
-                dataclasses.replace(base, power=p, temperature=ceiling)
-            ).checked_en()
-            == 0.0
-            for p in _FIG5_POWERS
-        )
-        if dead:
-            return ceiling
-        ceiling *= 2.0
-    return _TEMP_CEILING_CAP
+# Each published curve family as a config text (docs/config.md). A fig5
+# temperature axis ends at the lowest doubling of 8 mK at which all four
+# drive powers give E_N = 0, so it brackets every power's entanglement death.
+FIGURE_CONFIGS = {
+    "fig2": """
+        # Coulomb coupling families, pump off
+        axes.coulomb_lambda = list(0.3, 0.5, 0.95) * omega_m1
+        axes.detuning = linspace(0, 2, 401) * omega_m1
+    """,
+    "fig3": """
+        # pump gain families at theta = 0
+        base.coulomb_lambda_in_omega_m = 0.95
+        base.opa_phase = 0
+        axes.opa_gain = list(0, 2e7, 5e7, 8e7, 10e7, 12e7)
+        axes.detuning = linspace(0, 2, 401) * omega_m1
+    """,
+    "fig4": """
+        # pump phase families (0, pi/16, pi/6, pi/4) at the strongest fig3 gain
+        base.coulomb_lambda_in_omega_m = 0.95
+        base.opa_gain = 12e7
+        axes.opa_phase = list(0, 0.19634954084936207, 0.5235987755982988, 0.7853981633974483)
+        axes.detuning = linspace(0, 2, 401) * omega_m1
+    """,
+    "fig5a": """
+        # drive power against temperature at gain 2e7, theta = pi/16
+        base.coulomb_lambda_in_omega_m = 0.95
+        base.detuning_in_omega_m = 0.75
+        base.opa_phase = 0.19634954084936207
+        base.opa_gain = 2e7
+        axes.power = list(0.03, 0.05, 0.08, 0.10)
+        axes.temperature = linspace(1e-3, 0.064, 201)
+    """,
+    "fig5b": """
+        # drive power against temperature at gain 8e7, theta = pi/16
+        base.coulomb_lambda_in_omega_m = 0.95
+        base.detuning_in_omega_m = 0.75
+        base.opa_phase = 0.19634954084936207
+        base.opa_gain = 8e7
+        axes.power = list(0.03, 0.05, 0.08, 0.10)
+        axes.temperature = linspace(1e-3, 0.128, 201)
+    """,
+}
+FIGURE_NAMES = tuple(FIGURE_CONFIGS)
 
 
 def figure_spec(which: str, parallel: int = 1, output_path=None) -> SweepSpec:
     """SweepSpec for one of the published curve families.
 
-    fig2 sweeps the Coulomb coupling with the pump off; fig3 the pump
-    gain at theta = 0; fig4 the pump phase at the strongest fig3 gain;
-    fig5a/fig5b sweep drive power against temperature at fixed detuning
-    0.75*omega_m1 and gains 2e7 / 8e7. Detuning grids hold 401 points
-    over [0, 2]*omega_m1; temperature grids 201 points from 1 mK to an
-    auto-extended ceiling.
+    The grid is ``FIGURE_CONFIGS[which]`` read by ``parse_config``, so
+    ``omneg sweep`` on that text writes the same table.
     """
-    base = params_mod.reference_params()
-    w = base.omega_m1
-    dgrid = _detuning_grid(w)
-    if which == "fig2":
-        axes = (
-            ("coulomb_lambda", (0.3 * w, 0.5 * w, 0.95 * w)),
-            ("detuning", dgrid),
-        )
-    elif which == "fig3":
-        base = dataclasses.replace(base, coulomb_lambda=0.95 * w, opa_phase=0.0)
-        axes = (
-            ("opa_gain", (0.0, 2e7, 5e7, 8e7, 10e7, 12e7)),
-            ("detuning", dgrid),
-        )
-    elif which == "fig4":
-        base = dataclasses.replace(base, coulomb_lambda=0.95 * w, opa_gain=12e7)
-        axes = (
-            ("opa_phase", (0.0, math.pi / 16, math.pi / 6, math.pi / 4)),
-            ("detuning", dgrid),
-        )
-    elif which in ("fig5a", "fig5b"):
-        gain = 2e7 if which == "fig5a" else 8e7
-        base = dataclasses.replace(
-            base,
-            coulomb_lambda=0.95 * w,
-            detuning=0.75 * w,
-            opa_phase=math.pi / 16,
-            opa_gain=gain,
-        )
-        ceiling = _fig5_ceiling(base)
-        tgrid = np.linspace(_TEMP_FLOOR, ceiling, _TEMP_GRID_POINTS)
-        axes = (
-            ("power", _FIG5_POWERS),
-            ("temperature", tuple(float(t) for t in tgrid)),
-        )
-    else:
+    if which not in FIGURE_CONFIGS:
         raise ConfigError(f"unknown figure {which!r}; expected one of {FIGURE_NAMES}")
-    return SweepSpec(base=base, axes=axes, output_path=output_path, parallel=parallel)
+    base, axes = parse_config(FIGURE_CONFIGS[which])
+    return SweepSpec(
+        base=base, axes=tuple(axes), output_path=output_path, parallel=parallel
+    )
 
 
 def figure_dataset(which: str, parallel: int = 1, output_path=None) -> list[SweepRow]:

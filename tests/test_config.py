@@ -245,6 +245,8 @@ FILE_FAULTS = [
     ("base.power = list(1, 2)", "line 1: base values must be single numbers"),
     ("axes.power = linspace(0, 1, 0)",
      "line 1: linspace needs at least one point"),
+    ("axes.power = linspace(0, 1, 1000001)",
+     "line 1: linspace count 1000001 exceeds the grid cap of 1000000 points"),
     ("axes.power = list()", "line 1: list(...) must not be empty"),
     ("axes.power = list(1, x)", "line 1: bad number 'x' in list(...)"),
     ("base.detuning_in_omega_m = 0.5 * omega_m1",
@@ -260,7 +262,7 @@ FILE_FAULTS = [
 ]
 OVERRIDE_FAULTS = [
     (["power"], "override 'power' must look like name=value"),
-    (["power="], "cannot parse value ''"),
+    (["power="], "empty value for 'power'"),
     (["nope=1.0"], "unknown parameter 'nope'"),
     (["base.power=1"], "unknown parameter 'base.power'"),
     (["power=list(1, 2)"], "base values must be single numbers"),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -250,7 +251,7 @@ def test_figure_spec_families():
     assert grid[200] == pytest.approx(w, rel=1e-15)
 
     fig3 = sweep.figure_spec("fig3")
-    assert fig3.base.coulomb_lambda == pytest.approx(0.95 * w, rel=1e-15)
+    assert fig3.base.coulomb_lambda == 0.95 * w
     assert fig3.base.opa_phase == 0.0
     assert fig3.axes[0] == ("opa_gain", (0.0, 2e7, 5e7, 8e7, 10e7, 12e7))
 
@@ -261,22 +262,39 @@ def test_figure_spec_families():
         (0.0, math.pi / 16, math.pi / 6, math.pi / 4),
     )
 
+    for name, gain in (("fig5a", 2e7), ("fig5b", 8e7)):
+        fig5 = sweep.figure_spec(name)
+        assert fig5.base.opa_gain == gain
+        assert fig5.base.coulomb_lambda == 0.95 * w
+        assert fig5.base.detuning == 0.75 * w
+        assert fig5.base.opa_phase == math.pi / 16
+        assert fig5.axes[0] == ("power", (0.03, 0.05, 0.08, 0.10))
+
     with pytest.raises(ConfigError):
         sweep.figure_spec("fig6")
 
 
 def test_figure_spec_fig5_temperature_grid():
-    spec = sweep.figure_spec("fig5a")
-    assert spec.base.opa_gain == 2e7
-    assert spec.base.detuning == pytest.approx(0.75 * OMEGA, rel=1e-15)
-    assert spec.axes[0] == ("power", (0.03, 0.05, 0.08, 0.10))
-    name, tgrid = spec.axes[1]
-    assert name == "temperature"
-    assert len(tgrid) == 201
-    assert tgrid[0] == 1e-3
-    # ceiling doubles from 8 mK until every power family is dead
-    assert tgrid[-1] in (0.008, 0.016, 0.032, 0.064, 0.128, 0.256, 0.512, 1.0)
-    assert sweep.figure_spec("fig5b").base.opa_gain == 8e7
+    # each ceiling is the first doubling of 8 mK at which every power
+    # family is dead, so the grid brackets each family's death
+    for which, ceiling in (("fig5a", 0.064), ("fig5b", 0.128)):
+        spec = sweep.figure_spec(which)
+        (power_name, powers), (name, tgrid) = spec.axes
+        assert power_name == "power" and name == "temperature"
+        assert len(tgrid) == 201
+        assert tgrid[0] == 1e-3 and tgrid[-1] == ceiling
+
+        def rows_at(temperature):
+            return [
+                sweep.evaluate_point(
+                    dataclasses.replace(spec.base, power=p, temperature=temperature)
+                )
+                for p in powers
+            ]
+
+        dead = rows_at(ceiling)
+        assert all(r.error_code == 0 and r.log_negativity == 0.0 for r in dead)
+        assert any(r.log_negativity > 0.0 for r in rows_at(ceiling / 2))
 
 
 def test_critical_temperature_brackets_death():
