@@ -3,10 +3,9 @@
 The pipeline runs params -> steady_state -> dynamics -> entanglement
 and is stated once, in ``sweep.run_stages``: it returns every stage's
 output plus the failure that stopped it. ``evaluate_point`` (the CSV
-row), the ``point`` command, ``critical_temperature`` and the fig5
-temperature ceiling all read that record; cli fronts everything from
-the command line. All frequencies and rates are angular (rad/s);
-vacuum variance is 1/2.
+row), the ``point`` command and ``critical_temperature`` all read that
+record; cli fronts everything from the command line. All frequencies
+and rates are angular (rad/s); vacuum variance is 1/2.
 """
 
 from .config import load_config, parse_config
@@ -18,12 +17,7 @@ from .dynamics import (
     stability,
     steady_covariance,
 )
-from .entanglement import (
-    EntanglementResult,
-    ReducedCovariance,
-    log_negativity,
-    reduce_mechanical,
-)
+from .entanglement import EntanglementResult, log_negativity
 from .errors import (
     ConfigError,
     DegenerateNormalMode,
@@ -89,9 +83,7 @@ __all__ = [
     "stability",
     "steady_covariance",
     "evolve_covariance",
-    "ReducedCovariance",
     "EntanglementResult",
-    "reduce_mechanical",
     "log_negativity",
     "parse_config",
     "load_config",

@@ -97,22 +97,17 @@ class StabilityReport:
             )
 
 
-def stability(m, omega_scale: float | None = None) -> StabilityReport:
+def stability(m, omega_scale: float) -> StabilityReport:
     """Check that every drift eigenvalue sits left of a small margin.
 
-    The margin is STABILITY_EPS_FRACTION times a characteristic
-    frequency; by default that frequency is read off the (0, 1) entry
-    of the drift matrix, which holds omega_m1 in the standard layout.
-    Pass omega_scale for matrices built some other way.
+    The margin is STABILITY_EPS_FRACTION times omega_scale, a
+    characteristic frequency of the system (omega_m1 in the pipeline),
+    which must be positive.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"m must be a square matrix, got shape {arr.shape}")
-    if omega_scale is None:
-        # recovered scale 0 (no frequency at (0,1)) degrades the margin
-        # to a plain sign test
-        omega_scale = abs(arr[0, 1])
-    elif omega_scale <= 0.0:
+    if not omega_scale > 0.0:
         raise ValueError(f"omega_scale must be positive, got {omega_scale}")
     eig = smallmat.eigenvalues(arr)
     max_re = float(eig.real.max())
@@ -124,11 +119,12 @@ def stability(m, omega_scale: float | None = None) -> StabilityReport:
     )
 
 
-def steady_covariance(m, d, omega_scale: float | None = None) -> np.ndarray:
+def steady_covariance(m, d, omega_scale: float) -> np.ndarray:
     """Steady covariance V solving M V + V M^T = -D.
 
-    The 6x6 equation is vectorized row-major into a 36x36 linear solve.
-    Raises EigenFailure when the drift spectrum cannot be computed (for
+    The 6x6 equation is vectorized row-major into a 36x36 linear solve;
+    omega_scale sets the stability margin as in ``stability``. Raises
+    EigenFailure when the drift spectrum cannot be computed (for
     example, a non-finite M), UnstableSystem when it fails the stability
     margin, and SingularSolve when the solve degenerates or leaves a
     residual above RESIDUAL_RTOL * ||D||_F; a V that overflows leaves a

@@ -12,9 +12,7 @@ from .errors import NonPhysicalState
 
 __all__ = [
     "PHYS_EPS_FLOOR",
-    "ReducedCovariance",
     "EntanglementResult",
-    "reduce_mechanical",
     "log_negativity",
 ]
 
@@ -22,21 +20,6 @@ __all__ = [
 # mean the covariance is not a physical Gaussian state; smaller ones are
 # roundoff and get clamped to zero
 PHYS_EPS_FLOOR = 1e-12
-
-
-@dataclasses.dataclass(frozen=True)
-class ReducedCovariance:
-    """2x2 blocks of the oscillator pair: phi1, phi2 marginals, phi3 cross."""
-
-    phi1: np.ndarray
-    phi2: np.ndarray
-    phi3: np.ndarray
-
-    def assembled(self) -> np.ndarray:
-        """The 4x4 covariance [[phi1, phi3], [phi3^T, phi2]]."""
-        top = np.hstack([self.phi1, self.phi3])
-        bottom = np.hstack([self.phi3.T, self.phi2])
-        return np.vstack([top, bottom])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,33 +32,25 @@ class EntanglementResult:
     entangled: bool
 
 
-def reduce_mechanical(v) -> ReducedCovariance:
-    """Trace out the cavity: keep the first four rows and columns."""
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (6, 6):
-        raise ValueError(f"expected a 6x6 covariance, got {arr.shape}")
-    return ReducedCovariance(
-        phi1=arr[0:2, 0:2].copy(),
-        phi2=arr[2:4, 2:4].copy(),
-        phi3=arr[0:2, 2:4].copy(),
-    )
+def log_negativity(v) -> EntanglementResult:
+    """E_N = max(0, -ln 2*varrho) of the 4x4 oscillator covariance v.
 
-
-def log_negativity(reduced: ReducedCovariance) -> EntanglementResult:
-    """E_N = max(0, -ln 2*varrho) from the partially transposed spectrum.
-
-    varrho is the smaller symplectic eigenvalue of the partial
-    transpose: varrho^2 = (Sigma - sqrt(Sigma^2 - 4 det V)) / 2 with
-    Sigma = det phi1 + det phi2 - 2 det phi3. The state is entangled
-    exactly when varrho < 1/2 (vacuum variance). Raises
-    NonPhysicalState when Sigma^2 - 4 det V is not finite, which also
-    covers a non-finite Sigma or det V, or when either square root
-    argument is negative beyond roundoff.
+    v is [[A, C], [C^T, B]] in (q1, p1, q2, p2) order. varrho is the
+    smaller symplectic eigenvalue of the partial transpose:
+    varrho^2 = (Sigma - sqrt(Sigma^2 - 4 det V)) / 2 with
+    Sigma = det A + det B - 2 det C. The state is entangled exactly
+    when varrho < 1/2 (vacuum variance). Raises ValueError unless v is
+    4x4, and NonPhysicalState when Sigma^2 - 4 det V is not finite,
+    which also covers a non-finite Sigma or det V, or when either
+    square root argument is negative beyond roundoff.
     """
-    det1 = smallmat.det(reduced.phi1)
-    det2 = smallmat.det(reduced.phi2)
-    det3 = smallmat.det(reduced.phi3)
-    detv = smallmat.det(reduced.assembled())
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 covariance, got {arr.shape}")
+    det1 = smallmat.det(arr[0:2, 0:2])
+    det2 = smallmat.det(arr[2:4, 2:4])
+    det3 = smallmat.det(arr[0:2, 2:4])
+    detv = smallmat.det(arr)
     sigma = det1 + det2 - 2.0 * det3
     disc = sigma * sigma - 4.0 * detv
     # eps below scales with Sigma^2, so an overflowed Sigma^2 would

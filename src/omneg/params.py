@@ -125,13 +125,25 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _ieee_div(num: float, den: float) -> float:
+    """num / den for num, den >= 0 as IEEE arithmetic has it: x/0 is inf, 0/0 NaN.
+
+    The divisors below are positive products that underflow to zero at
+    extreme inputs; the quotient then reaches the stage guards.
+    """
+    try:
+        return num / den
+    except ZeroDivisionError:
+        return math.nan if num == 0.0 else math.inf
+
+
 def drive_amplitude(power: float, kappa: float, omega_laser: float) -> float:
     """|E| = sqrt(2*kappa*P / (hbar*omega_L)) for input power P."""
     if power < 0.0:
         raise ValueError(f"power must be >= 0, got {power}")
     if kappa <= 0.0 or omega_laser <= 0.0:
         raise ValueError("kappa and omega_laser must be positive")
-    return math.sqrt(2.0 * kappa * power / (CONSTANTS.hbar * omega_laser))
+    return math.sqrt(_ieee_div(2.0 * kappa * power, CONSTANTS.hbar * omega_laser))
 
 
 def single_photon_coupling(
@@ -140,7 +152,8 @@ def single_photon_coupling(
     """g0 = (omega_c/L) * sqrt(hbar/(m*omega_m)), the bare coupling rate."""
     if min(omega_cavity, cavity_length, mass, omega_m) <= 0.0:
         raise ValueError("all arguments must be positive")
-    return (omega_cavity / cavity_length) * math.sqrt(CONSTANTS.hbar / (mass * omega_m))
+    zpf = math.sqrt(_ieee_div(CONSTANTS.hbar, mass * omega_m))
+    return (omega_cavity / cavity_length) * zpf
 
 
 def coulomb_strength(c1: float, u1: float, c2: float, u2: float, d0: float) -> float:

@@ -70,7 +70,11 @@ def displacements(
             f"coulomb_lambda={coulomb_lambda:.6g} collapses the joint potential "
             f"(omega_m1*omega_m2 - lambda^2 = {discr:.6g})"
         )
-    q1s = g0 * abs(c_s) ** 2 / (omega_m1 - coulomb_lambda ** 2 / omega_m2)
+    try:
+        abs_c_sq = abs(c_s) ** 2
+    except OverflowError:  # past the float range: inf, as IEEE arithmetic has it
+        abs_c_sq = math.inf
+    q1s = g0 * abs_c_sq / (omega_m1 - coulomb_lambda ** 2 / omega_m2)
     q2s = -(coulomb_lambda / omega_m2) * q1s
     return q1s, q2s
 

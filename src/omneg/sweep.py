@@ -69,8 +69,8 @@ def run_stages(p: SystemParams) -> Stages:
     """Run the pipeline once at one operating point.
 
     Stages: steady state (params.derive), drift and diffusion,
-    stability, steady covariance, reduction, negativity. The first
-    PointFailure stops the run and is kept in the record.
+    stability, steady covariance, negativity of its oscillator block.
+    The first PointFailure stops the run and is kept in the record.
     """
     nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
     derived = report = ent = None
@@ -81,7 +81,7 @@ def run_stages(p: SystemParams) -> Stages:
         report = dynamics.stability(m, omega_scale=p.omega_m1)
         report.require_stable()
         v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
-        ent = entanglement.log_negativity(entanglement.reduce_mechanical(v))
+        ent = entanglement.log_negativity(v[:4, :4])
     except PointFailure as exc:
         # kept without its traceback, whose frames link back to the
         # caller's local holding this record: a reference cycle per row
@@ -331,7 +331,7 @@ def critical_temperature(
     """
     if not (0.0 < t_lo < t_hi):
         raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
     def en_at(temperature: float) -> float:

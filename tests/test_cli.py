@@ -160,8 +160,22 @@ def test_sweep_writes_csv(tmp_path, capsys):
             [0, 7, 6],
         ),
         (["axes.coulomb_lambda = list(0, 1e200)"], [0, 1]),
+        # derive-stage overflow: hbar/(mass*omega_m1) and 2*kappa*P/(hbar*omega_L)
+        # divide by an underflowed product, |c_s|^2 passes the float range
+        (["base.omega_m1 = 1e-61", "base.mass = 1e-263"], [4]),
+        (["base.laser_wavelength = 1e300"], [4]),
+        (["base.kappa = 1e-140", "base.detuning = 0", "base.power = 1e150"], [5]),
     ],
-    ids=["power", "temperature-1e300", "temperature-1e200", "temperature-axis", "lambda-axis"],
+    ids=[
+        "power",
+        "temperature-1e300",
+        "temperature-1e200",
+        "temperature-axis",
+        "lambda-axis",
+        "g0-underflow",
+        "drive-underflow",
+        "abs-c-s-squared",
+    ],
 )
 def test_overflowing_stage_reports_its_code(tmp_path, capsys, lines, codes):
     # valid but extreme inputs overflow one stage; its row code (or the

@@ -88,7 +88,7 @@ def test_diffusion_rejects_negative_nbar():
 
 
 def test_stability_minus_identity():
-    r = dynamics.stability(-np.eye(6))
+    r = dynamics.stability(-np.eye(6), omega_scale=1.0)
     assert r.stable and r.max_real_part == pytest.approx(-1.0, abs=1e-12)
     assert len(r.eigenvalues) == 6
 
@@ -97,30 +97,23 @@ def test_stability_margin_uses_omega_scale():
     m = np.diag([-5.0] * 5 + [-0.5])
     assert dynamics.stability(m, omega_scale=1e9).stable is False
     assert dynamics.stability(m, omega_scale=1e8).stable is True
-    with pytest.raises(ValueError):
-        dynamics.stability(m, omega_scale=-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            dynamics.stability(m, omega_scale=bad)
+        with pytest.raises(ValueError):
+            dynamics.steady_covariance(m, np.eye(6), omega_scale=bad)
 
 
 def test_stability_rejects_non_square_matrix():
     for bad in (np.zeros((2, 3)), np.zeros(6), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
-            dynamics.stability(bad)
-
-
-def test_stability_scale_recovered_from_drift_layout():
-    p = params.reference_params(coulomb_lambda=0.95 * params.reference_params().omega_m1)
-    g_m = params.derive(p).g_m
-    m = dynamics.build_drift(p, g_m)
-    bare = dynamics.stability(m)
-    explicit = dynamics.stability(m, omega_scale=p.omega_m1)
-    assert bare == explicit
-    assert bare.stable
+            dynamics.stability(bad, omega_scale=1.0)
 
 
 def test_stability_above_gain_threshold_is_unstable():
     # with the pump outrunning the loss the cavity block has a growing mode
     p = params.reference_params(detuning=0.0, opa_gain=0.75 * 8.81e7, power=0.0)
-    r = dynamics.stability(dynamics.build_drift(p, 0.0))
+    r = dynamics.stability(dynamics.build_drift(p, 0.0), omega_scale=p.omega_m1)
     assert not r.stable
     assert r.max_real_part > 0.0
 
@@ -169,7 +162,7 @@ def test_steady_covariance_thermal_blocks_without_coupling():
     nbar = 0.7
     m = dynamics.build_drift(p, 0.0)
     d = dynamics.build_diffusion(p, nbar)
-    v = dynamics.steady_covariance(m, d)
+    v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
     want = np.diag([nbar + 0.5] * 4 + [0.5] * 2)
     assert np.allclose(v, want, rtol=1e-9, atol=1e-12)
 
@@ -179,7 +172,7 @@ def test_steady_covariance_refuses_unstable_system():
     m = dynamics.build_drift(p, 0.0)
     d = dynamics.build_diffusion(p, 0.5)
     with pytest.raises(UnstableSystem):
-        dynamics.steady_covariance(m, d)
+        dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
 
 
 def test_steady_covariance_singular_solve_guard():
@@ -282,8 +275,8 @@ def test_evolve_converges_to_steady_covariance():
     derived = params.derive(p)
     m = dynamics.build_drift(p, derived.g_m)
     d = dynamics.build_diffusion(p, derived.nbar)
-    v_inf = dynamics.steady_covariance(m, d)
-    report = dynamics.stability(m)
+    v_inf = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
+    report = dynamics.stability(m, omega_scale=p.omega_m1)
     t_end = 10.0 / abs(report.max_real_part)
     dt = 0.1 / np.linalg.norm(m, 2)
     v0 = np.diag([derived.nbar + 0.5] * 4 + [0.5] * 2)

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -27,39 +29,14 @@ def two_mode_squeezed(r: float) -> np.ndarray:
     return v
 
 
-def embed_mechanical(v4: np.ndarray) -> np.ndarray:
-    """Place a 4x4 two-mode covariance in the mechanical corner of a 6x6."""
-    full = np.eye(6) * 0.5
-    full[:4, :4] = v4
-    return full
-
-
-def test_reduce_picks_mechanical_corner():
-    full = np.arange(36, dtype=float).reshape(6, 6)
-    full = 0.5 * (full + full.T)
-    red = entanglement.reduce_mechanical(full)
-    assert np.array_equal(red.phi1, full[:2, :2])
-    assert np.array_equal(red.phi2, full[2:4, 2:4])
-    assert np.array_equal(red.phi3, full[:2, 2:4])
-    # blocks are copies, not views into the input
-    red.phi1[0, 0] = -999.0
-    assert full[0, 0] != -999.0
-
-
-def test_reduce_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        entanglement.reduce_mechanical(np.eye(4))
-
-
-def test_assembled_roundtrip():
-    full = np.arange(36, dtype=float).reshape(6, 6)
-    full = 0.5 * (full + full.T)
-    red = entanglement.reduce_mechanical(full)
-    assert np.array_equal(red.assembled(), full[:4, :4])
+def test_log_negativity_rejects_wrong_shape():
+    for v in (np.eye(6), np.eye(2), np.zeros(4)):
+        with pytest.raises(ValueError):
+            entanglement.log_negativity(v)
 
 
 def test_vacuum_is_separable():
-    res = entanglement.log_negativity(entanglement.reduce_mechanical(np.eye(6) * 0.5))
+    res = entanglement.log_negativity(np.eye(4) * 0.5)
     assert res.log_negativity == 0.0
     assert res.varrho == pytest.approx(0.5, rel=1e-14)
     assert not res.entangled
@@ -68,8 +45,7 @@ def test_vacuum_is_separable():
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
 def test_two_mode_squeezed_vacuum(r):
     # analytic value: E_N = 2r for the ideal two-mode squeezed state
-    red = entanglement.reduce_mechanical(embed_mechanical(two_mode_squeezed(r)))
-    res = entanglement.log_negativity(red)
+    res = entanglement.log_negativity(two_mode_squeezed(r))
     assert res.log_negativity == pytest.approx(2.0 * r, abs=1e-9)
     assert res.entangled
     assert res.varrho == pytest.approx(0.5 * math.exp(-2.0 * r), rel=1e-9)
@@ -77,7 +53,7 @@ def test_two_mode_squeezed_vacuum(r):
 
 def test_uncorrelated_thermal_state_not_entangled():
     v4 = np.diag([1.7, 1.7, 2.3, 2.3])
-    res = entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(v4)))
+    res = entanglement.log_negativity(v4)
     assert res.log_negativity == 0.0
     assert not res.entangled
 
@@ -88,8 +64,8 @@ def test_local_rotations_preserve_log_negativity():
     s[:2, :2] = rot(0.37)
     s[2:, 2:] = rot(-1.21)
     rotated = s @ base @ s.T
-    a = entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(base)))
-    b = entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(rotated)))
+    a = entanglement.log_negativity(base)
+    b = entanglement.log_negativity(rotated)
     assert b.log_negativity == pytest.approx(a.log_negativity, rel=1e-12)
 
 
@@ -103,7 +79,7 @@ def test_negative_discriminant_raises():
         ]
     )
     with pytest.raises(NonPhysicalState):
-        entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(v4)))
+        entanglement.log_negativity(v4)
 
 
 def test_negative_inner_value_raises():
@@ -115,7 +91,7 @@ def test_negative_inner_value_raises():
     v4[:2, 2:] = 10.0 * np.eye(2)
     v4[2:, :2] = 10.0 * np.eye(2)
     with pytest.raises(NonPhysicalState):
-        entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(v4)))
+        entanglement.log_negativity(v4)
 
 
 def test_tiny_negative_discriminant_is_clamped():
@@ -127,18 +103,15 @@ def test_tiny_negative_discriminant_is_clamped():
     v4[2:, 2:] = rot(1.05) @ (0.5 * np.eye(2)) @ rot(1.05).T
     v4[:2, 2:] = rot(0.1) @ (e * np.eye(2)) @ rot(1.05).T
     v4[2:, :2] = v4[:2, 2:].T
-    res = entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(v4)))
+    res = entanglement.log_negativity(v4)
     assert math.isfinite(res.log_negativity)
     assert res.log_negativity > 0.0
 
 
 def test_zero_varrho_maps_to_infinity():
-    red = entanglement.ReducedCovariance(
-        phi1=0.5 * np.eye(2),
-        phi2=0.5 * np.eye(2),
-        phi3=0.5 * np.diag([1.0, -1.0]),
-    )
-    res = entanglement.log_negativity(red)
+    v4 = 0.5 * np.eye(4)
+    v4[:2, 2:] = v4[2:, :2] = 0.5 * np.diag([1.0, -1.0])
+    res = entanglement.log_negativity(v4)
     assert res.varrho == 0.0
     assert res.log_negativity == math.inf
     assert res.entangled
@@ -160,8 +133,19 @@ def test_log_negativity_fails_cleanly_or_is_well_defined(upper):
     # non-finite sigma/varrho or a NaN E_N reported as a result
     v4 = np.triu(upper) + np.triu(upper, 1).T
     try:
-        res = entanglement.log_negativity(entanglement.reduce_mechanical(embed_mechanical(v4)))
+        res = entanglement.log_negativity(v4)
     except NonPhysicalState:
         return
     assert math.isfinite(res.sigma) and math.isfinite(res.varrho)
     assert res.log_negativity >= 0.0
+
+
+def test_readme_library_example_runs(capsys):
+    # the documented library example must keep calling the live API
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    en, entangled = capsys.readouterr().out.split()
+    assert float(en) > 0.0
+    assert entangled == "True"

@@ -361,3 +361,5 @@ def test_critical_temperature_input_validation():
         sweep.critical_temperature(p, 0.01, 0.01, 1e-5)
     with pytest.raises(ValueError):
         sweep.critical_temperature(p, 1e-3, 0.064, 0.0)
+    with pytest.raises(ValueError):
+        sweep.critical_temperature(p, 1e-3, 0.064, float("nan"))
