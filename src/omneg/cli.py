@@ -32,6 +32,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_PARALLEL_HELP = "worker count (default 1; at most the CPU count and the row count)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="omneg",
@@ -59,13 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a config-defined grid to CSV")
     swp.add_argument("--config", required=True, help="config file")
     swp.add_argument("--out", required=True, help="output CSV path")
-    swp.add_argument("--parallel", type=int, help="worker count (default 1)")
+    swp.add_argument("--parallel", type=int, help=_PARALLEL_HELP)
     swp.set_defaults(func=_cmd_sweep)
 
     for name in sweep.FIGURE_NAMES:
         fig = sub.add_parser(name, help=f"emit the {name} curve family as CSV")
         fig.add_argument("--out", required=True, help="output CSV path")
-        fig.add_argument("--parallel", type=int, help="worker count (default 1)")
+        fig.add_argument("--parallel", type=int, help=_PARALLEL_HELP)
         fig.set_defaults(func=_cmd_fig, which=name)
 
     crit = sub.add_parser(
@@ -150,7 +153,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fig(args) -> int:
-    sweep.figure_dataset(args.which, parallel=_workers(args), output_path=args.out)
+    sweep.run_sweep(
+        sweep.figure_spec(args.which, parallel=_workers(args), output_path=args.out)
+    )
     return 0
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import smallmat
 from .errors import SingularSolve, StepTooLarge, UnstableSystem
+from .params import thermal_occupation
 
 __all__ = [
     "STABILITY_EPS_FRACTION",
@@ -63,17 +64,20 @@ def build_drift(params, g_m: float) -> np.ndarray:
     return m
 
 
-def build_diffusion(params, nbar: float) -> np.ndarray:
-    """Diagonal noise matrix: thermal kicks on momenta, vacuum on the field."""
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
-    therm = 2.0 * nbar + 1.0
+def build_diffusion(params) -> np.ndarray:
+    """Diagonal noise matrix: thermal kicks on momenta, vacuum on the field.
+
+    Each oscillator's bath is at the shared temperature, with occupation
+    n(omega_mi, T) at its own frequency.
+    """
+    therm1 = 2.0 * thermal_occupation(params.omega_m1, params.temperature) + 1.0
+    therm2 = 2.0 * thermal_occupation(params.omega_m2, params.temperature) + 1.0
     return np.diag(
         [
             0.0,
-            params.gamma_m1 * therm,
+            params.gamma_m1 * therm1,
             0.0,
-            params.gamma_m2 * therm,
+            params.gamma_m2 * therm2,
             params.kappa,
             params.kappa,
         ]

@@ -61,9 +61,10 @@ class ThresholdSingularity(PointFailure):
 
 
 class DegenerateNormalMode(PointFailure):
-    """omega_m1 * omega_m2 - lambda^2 <= 0.
+    """omega_m1 - lambda^2 / omega_m2 <= 0.
 
-    The coupled-oscillator potential is unbounded; no steady state exists.
+    The Coulomb term leaves mode 1 no restoring force, so the static
+    displacements are undefined; no steady state exists.
     """
 
     code = ErrorCode.DEGENERATE_NORMAL_MODE

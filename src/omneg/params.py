@@ -1,4 +1,4 @@
-"""System parameters and scalar derived quantities.
+"""System parameters and the derive stage: the classical steady state.
 
 Unit conventions
 ----------------
@@ -16,6 +16,7 @@ import dataclasses
 import math
 
 from . import steady_state
+from .errors import DegenerateNormalMode
 
 __all__ = [
     "PhysicalConstants",
@@ -24,8 +25,6 @@ __all__ = [
     "reference_params",
     "DerivedQuantities",
     "thermal_occupation",
-    "drive_amplitude",
-    "single_photon_coupling",
     "coulomb_strength",
     "derive",
 ]
@@ -128,32 +127,13 @@ def thermal_occupation(omega: float, temperature: float) -> float:
 def _ieee_div(num: float, den: float) -> float:
     """num / den for num, den >= 0 as IEEE arithmetic has it: x/0 is inf, 0/0 NaN.
 
-    The divisors below are positive products that underflow to zero at
-    extreme inputs; the quotient then reaches the stage guards.
+    The divisors in ``derive`` are positive products that underflow to
+    zero at extreme inputs; the quotient then reaches the stage guards.
     """
     try:
         return num / den
     except ZeroDivisionError:
         return math.nan if num == 0.0 else math.inf
-
-
-def drive_amplitude(power: float, kappa: float, omega_laser: float) -> float:
-    """|E| = sqrt(2*kappa*P / (hbar*omega_L)) for input power P."""
-    if power < 0.0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    if kappa <= 0.0 or omega_laser <= 0.0:
-        raise ValueError("kappa and omega_laser must be positive")
-    return math.sqrt(_ieee_div(2.0 * kappa * power, CONSTANTS.hbar * omega_laser))
-
-
-def single_photon_coupling(
-    omega_cavity: float, cavity_length: float, mass: float, omega_m: float
-) -> float:
-    """g0 = (omega_c/L) * sqrt(hbar/(m*omega_m)), the bare coupling rate."""
-    if min(omega_cavity, cavity_length, mass, omega_m) <= 0.0:
-        raise ValueError("all arguments must be positive")
-    zpf = math.sqrt(_ieee_div(CONSTANTS.hbar, mass * omega_m))
-    return (omega_cavity / cavity_length) * zpf
 
 
 def coulomb_strength(c1: float, u1: float, c2: float, u2: float, d0: float) -> float:
@@ -192,22 +172,38 @@ def derive(params: SystemParams) -> DerivedQuantities:
 
     The cavity and laser are treated as degenerate at the wavelength
     scale (omega_c = omega_L = 2*pi*c/lambda); the detuning field
-    carries their effective separation.
+    carries their effective separation. The drive is
+    |E| = sqrt(2*kappa*P/(hbar*omega_L)), the bare coupling
+    g0 = (omega_c/L)*sqrt(hbar/(m*omega_m1)), and radiation pressure
+    on mode 1 gives q1s = g0*|c_s|^2 / (omega_m1 - lambda^2/omega_m2),
+    which drags mode 2 to q2s = -(lambda/omega_m2)*q1s; the enhanced
+    coupling is G = sqrt(2)*g0*|c_s|. Raises ThresholdSingularity from
+    the cavity amplitude and DegenerateNormalMode when the Coulomb term
+    leaves mode 1 no restoring force (omega_m1 - lambda^2/omega_m2 <= 0).
     """
     omega_laser = 2.0 * math.pi * CONSTANTS.c_light / params.laser_wavelength
     omega_cavity = omega_laser
-    drive_e = drive_amplitude(params.power, params.kappa, omega_laser)
-    g0 = single_photon_coupling(
-        omega_cavity, params.cavity_length, params.mass, params.omega_m1
+    drive_e = math.sqrt(
+        _ieee_div(2.0 * params.kappa * params.power, CONSTANTS.hbar * omega_laser)
     )
+    zpf = math.sqrt(_ieee_div(CONSTANTS.hbar, params.mass * params.omega_m1))
+    g0 = (omega_cavity / params.cavity_length) * zpf
     nbar = thermal_occupation(params.omega_m1, params.temperature)
     c_s = steady_state.cavity_amplitude(
         params.detuning, params.kappa, params.opa_gain, params.opa_phase, drive_e
     )
-    q1s, q2s = steady_state.displacements(
-        g0, c_s, params.omega_m1, params.omega_m2, params.coulomb_lambda
-    )
-    g_m = steady_state.effective_coupling(g0, c_s)
+    lam = params.coulomb_lambda
+    stiffness = params.omega_m1 - lam ** 2 / params.omega_m2
+    if not stiffness > 0.0:
+        raise DegenerateNormalMode(
+            f"coulomb_lambda={lam:.6g} leaves mode 1 no restoring force "
+            f"(omega_m1 - lambda^2/omega_m2 = {stiffness:.6g})"
+        )
+    try:
+        abs_c_sq = abs(c_s) ** 2
+    except OverflowError:  # past the float range: inf, as IEEE arithmetic has it
+        abs_c_sq = math.inf
+    q1s = g0 * abs_c_sq / stiffness
     return DerivedQuantities(
         omega_c=omega_cavity,
         omega_L=omega_laser,
@@ -217,6 +213,6 @@ def derive(params: SystemParams) -> DerivedQuantities:
         c_s_re=c_s.real,
         c_s_im=c_s.imag,
         q1s=q1s,
-        q2s=q2s,
-        g_m=g_m,
+        q2s=-(lam / params.omega_m2) * q1s,
+        g_m=math.sqrt(2.0) * g0 * abs(c_s),
     )

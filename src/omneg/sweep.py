@@ -36,7 +36,6 @@ __all__ = [
     "run_sweep",
     "write_csv",
     "figure_spec",
-    "figure_dataset",
     "FIGURE_NAMES",
     "FIGURE_CONFIGS",
     "critical_temperature",
@@ -77,7 +76,7 @@ def run_stages(p: SystemParams) -> Stages:
     try:
         derived = params_mod.derive(p)
         m = dynamics.build_drift(p, derived.g_m)
-        d = dynamics.build_diffusion(p, derived.nbar)
+        d = dynamics.build_diffusion(p)
         report = dynamics.stability(m, omega_scale=p.omega_m1)
         report.require_stable()
         v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
@@ -195,15 +194,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     The row order is the itertools.product order of the axes (first
     axis slowest) regardless of worker count, and each point is a pure
     function of its parameters, so reruns with different parallelism
-    produce identical tables. With output_path set the table is also
-    written as CSV; I/O failures propagate as OSError.
+    produce identical tables. The pool gets min(parallel, rows, CPUs)
+    workers and is skipped when that is 1. With output_path set the
+    table is also written as CSV; I/O failures propagate as OSError.
     """
     _validate_spec(spec)
     names = tuple(name for name, _ in spec.axes)
     combos = list(itertools.product(*(values for _, values in spec.axes)))
     tasks = [(spec.base, tuple(zip(names, combo))) for combo in combos]
-    if spec.parallel > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(spec.parallel) as pool:
+    workers = min(spec.parallel, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_grid_task, tasks)
     else:
         results = [_grid_task(t) for t in tasks]
@@ -307,11 +308,6 @@ def figure_spec(which: str, parallel: int = 1, output_path=None) -> SweepSpec:
     return SweepSpec(
         base=base, axes=tuple(axes), output_path=output_path, parallel=parallel
     )
-
-
-def figure_dataset(which: str, parallel: int = 1, output_path=None) -> list[SweepRow]:
-    """Evaluate one figure family and return (optionally write) its rows."""
-    return run_sweep(figure_spec(which, parallel=parallel, output_path=output_path))
 
 
 _COARSE_SCAN_POINTS = 32

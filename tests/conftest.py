@@ -22,12 +22,12 @@ def fig2_data():
 
 @pytest.fixture(scope="session")
 def fig3_rows():
-    return sweep.figure_dataset("fig3", parallel=1)
+    return sweep.run_sweep(sweep.figure_spec("fig3", parallel=1))
 
 
 @pytest.fixture(scope="session")
 def fig4_rows():
-    return sweep.figure_dataset("fig4", parallel=1)
+    return sweep.run_sweep(sweep.figure_spec("fig4", parallel=1))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from omneg import dynamics, entanglement, params, steady_state, sweep
+from omneg import dynamics, entanglement, params, sweep
 from omneg.errors import UnstableSystem
 
 TWO_PI = 2.0 * math.pi
@@ -42,7 +42,7 @@ def _rebuild(base, axis_names, axis_values):
     point = dataclasses.replace(base, **dict(zip(axis_names, axis_values)))
     derived = params.derive(point)
     m = dynamics.build_drift(point, derived.g_m)
-    d = dynamics.build_diffusion(point, derived.nbar)
+    d = dynamics.build_diffusion(point)
     return point, derived, m, d
 
 
@@ -131,7 +131,7 @@ def test_criterion_04_no_coulomb_no_entanglement():
         point = dataclasses.replace(base, detuning=float(frac) * base.omega_m1)
         derived = params.derive(point)
         m = dynamics.build_drift(point, derived.g_m)
-        d = dynamics.build_diffusion(point, derived.nbar)
+        d = dynamics.build_diffusion(point)
         v = dynamics.steady_covariance(m, d, omega_scale=point.omega_m1)
         ratio = np.linalg.norm(v[0:2, 2:4]) / np.linalg.norm(v[:4, :4])
         worst_ratio = max(worst_ratio, ratio)
@@ -261,8 +261,7 @@ def test_criterion_09_instability_guard():
         power=0.0, opa_phase=0.0, detuning=0.0, opa_gain=0.75 * kappa
     )
     m = dynamics.build_drift(p, 0.0)
-    nbar = params.thermal_occupation(p.omega_m1, p.temperature)
-    d = dynamics.build_diffusion(p, nbar)
+    d = dynamics.build_diffusion(p)
     report = dynamics.stability(m, omega_scale=p.omega_m1)
     raised = False
     try:
@@ -288,8 +287,8 @@ def test_criterion_09_instability_guard():
 def test_criterion_10_parallel_determinism(tmp_path):
     serial = tmp_path / "fig3-p1.csv"
     parallel = tmp_path / "fig3-p8.csv"
-    sweep.figure_dataset("fig3", parallel=1, output_path=str(serial))
-    sweep.figure_dataset("fig3", parallel=8, output_path=str(parallel))
+    sweep.run_sweep(sweep.figure_spec("fig3", parallel=1, output_path=str(serial)))
+    sweep.run_sweep(sweep.figure_spec("fig3", parallel=8, output_path=str(parallel)))
     same = serial.read_bytes() == parallel.read_bytes()
     _verdict(
         10,

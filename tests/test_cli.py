@@ -165,6 +165,12 @@ def test_sweep_writes_csv(tmp_path, capsys):
         (["base.omega_m1 = 1e-61", "base.mass = 1e-263"], [4]),
         (["base.laser_wavelength = 1e300"], [4]),
         (["base.kappa = 1e-140", "base.detuning = 0", "base.power = 1e150"], [5]),
+        # lambda^2 < omega_m1*omega_m2 holds, but omega_m1 - lambda^2/omega_m2
+        # rounds to exactly 0: mode 1 keeps no static restoring force
+        (
+            ["base.omega_m2 = 389977663.1319781", "base.coulomb_lambda = 495005244.7317174"],
+            [3],
+        ),
     ],
     ids=[
         "power",
@@ -175,6 +181,7 @@ def test_sweep_writes_csv(tmp_path, capsys):
         "g0-underflow",
         "drive-underflow",
         "abs-c-s-squared",
+        "degenerate-stiffness",
     ],
 )
 def test_overflowing_stage_reports_its_code(tmp_path, capsys, lines, codes):

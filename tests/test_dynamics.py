@@ -68,7 +68,7 @@ def test_drift_theta_irrelevant_without_gain():
 
 def test_diffusion_reference_entry():
     p = params.reference_params()
-    d = dynamics.build_diffusion(p, params.derive(p).nbar)
+    d = dynamics.build_diffusion(p)
     assert d[1, 1] == pytest.approx(D_MECH_REF, rel=1e-12)
     assert d[3, 3] == d[1, 1]
     assert d[4, 4] == p.kappa and d[5, 5] == p.kappa
@@ -78,13 +78,18 @@ def test_diffusion_reference_entry():
 
 def test_diffusion_zero_temperature():
     p = params.reference_params(temperature=0.0)
-    d = dynamics.build_diffusion(p, 0.0)
+    d = dynamics.build_diffusion(p)
     assert d[1, 1] == p.gamma_m1 and d[3, 3] == p.gamma_m2
 
 
-def test_diffusion_rejects_negative_nbar():
-    with pytest.raises(ValueError):
-        dynamics.build_diffusion(params.reference_params(), -0.1)
+def test_diffusion_second_bath_uses_omega_m2():
+    p = params.reference_params(omega_m2=2.0 * params.reference_params().omega_m1)
+    d = dynamics.build_diffusion(p)
+    n1 = params.thermal_occupation(p.omega_m1, p.temperature)
+    n2 = params.thermal_occupation(p.omega_m2, p.temperature)
+    assert 0.0 < n2 < n1
+    assert d[1, 1] == p.gamma_m1 * (2.0 * n1 + 1.0)
+    assert d[3, 3] == p.gamma_m2 * (2.0 * n2 + 1.0)
 
 
 def test_stability_minus_identity():
@@ -159,9 +164,9 @@ def test_steady_covariance_thermal_blocks_without_coupling():
     # lambda = 0 and g_m = 0 leave three independent blocks; the
     # mechanical ones settle at (nbar + 1/2) I, the cavity at I/2
     p = params.reference_params(gamma_m1=1e6, gamma_m2=1e6, power=0.0)
-    nbar = 0.7
+    nbar = params.thermal_occupation(p.omega_m1, p.temperature)
     m = dynamics.build_drift(p, 0.0)
-    d = dynamics.build_diffusion(p, nbar)
+    d = dynamics.build_diffusion(p)
     v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
     want = np.diag([nbar + 0.5] * 4 + [0.5] * 2)
     assert np.allclose(v, want, rtol=1e-9, atol=1e-12)
@@ -170,7 +175,7 @@ def test_steady_covariance_thermal_blocks_without_coupling():
 def test_steady_covariance_refuses_unstable_system():
     p = params.reference_params(detuning=0.0, opa_gain=0.75 * 8.81e7, power=0.0)
     m = dynamics.build_drift(p, 0.0)
-    d = dynamics.build_diffusion(p, 0.5)
+    d = dynamics.build_diffusion(p)
     with pytest.raises(UnstableSystem):
         dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
 
@@ -274,7 +279,7 @@ def test_evolve_converges_to_steady_covariance():
     p = params.reference_params(coulomb_lambda=0.95 * base.omega_m1)
     derived = params.derive(p)
     m = dynamics.build_drift(p, derived.g_m)
-    d = dynamics.build_diffusion(p, derived.nbar)
+    d = dynamics.build_diffusion(p)
     v_inf = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
     report = dynamics.stability(m, omega_scale=p.omega_m1)
     t_end = 10.0 / abs(report.max_real_part)

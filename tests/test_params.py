@@ -55,14 +55,14 @@ def test_thermal_occupation_input_checks():
 
 
 def test_drive_amplitude_power_scaling():
-    e1 = params.drive_amplitude(0.05, 8.81e7, OMEGA_L_REF)
-    e4 = params.drive_amplitude(0.20, 8.81e7, OMEGA_L_REF)
+    e1 = params.derive(params.SystemParams(power=0.05)).drive_E
+    e4 = params.derive(params.SystemParams(power=0.20)).drive_E
     assert e4 == pytest.approx(2.0 * e1, rel=1e-14)
 
 
 def test_single_photon_coupling_mass_scaling():
-    g = params.single_photon_coupling(OMEGA_L_REF, 1e-3, 5e-12, 2e8 * math.pi)
-    g4 = params.single_photon_coupling(OMEGA_L_REF, 1e-3, 4 * 5e-12, 2e8 * math.pi)
+    g = params.derive(params.SystemParams(mass=5e-12)).g0
+    g4 = params.derive(params.SystemParams(mass=4 * 5e-12)).g0
     assert g4 == pytest.approx(0.5 * g, rel=1e-14)
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from omneg import steady_state
+from omneg import params, steady_state
 from omneg.errors import DegenerateNormalMode, ThresholdSingularity
 
 KAPPA = 8.81e7
@@ -11,7 +11,6 @@ OMEGA = 2.0 * math.pi * 1e8
 # frozen from an independent 40-digit evaluation of the reference point
 DRIVE_E_REF = 5.9936599219218992e12
 ABS_CS_REF = 9446.7942211268021
-G0_REF = 426.06778308059452
 GM_REF = 5692173.7679562817
 
 
@@ -58,31 +57,44 @@ def test_amplitude_just_below_threshold_is_fine():
 
 def test_displacement_ratio_is_exact():
     lam = 0.6 * OMEGA
-    c = complex(1200.0, -400.0)
-    q1, q2 = steady_state.displacements(G0_REF, c, OMEGA, OMEGA, lam)
-    assert q2 == -(lam / OMEGA) * q1
+    d = params.derive(params.SystemParams(coulomb_lambda=lam))
+    assert d.q1s > 0.0
+    assert d.q2s == -(lam / OMEGA) * d.q1s
 
 
 def test_displacements_scale_with_amplitude_squared():
-    c = complex(1200.0, -400.0)
-    q1a, _ = steady_state.displacements(G0_REF, c, OMEGA, OMEGA, 0.0)
-    q1b, _ = steady_state.displacements(G0_REF, 2.0 * c, OMEGA, OMEGA, 0.0)
-    assert q1b == pytest.approx(4.0 * q1a, rel=1e-12)
+    # four times the power doubles the drive and so |c_s|
+    a = params.derive(params.SystemParams(power=0.05))
+    b = params.derive(params.SystemParams(power=0.20))
+    assert abs(b.c_s) == pytest.approx(2.0 * abs(a.c_s), rel=1e-14)
+    assert b.q1s == pytest.approx(4.0 * a.q1s, rel=1e-12)
 
 
 def test_displacements_reject_degenerate_potential():
+    # lambda^2 < omega_m1*omega_m2 holds, yet omega_m1 - lambda^2/omega_m2
+    # rounds to exactly 0: mode 1 keeps no restoring force
+    p = params.SystemParams(
+        omega_m2=389977663.1319781, coulomb_lambda=495005244.7317174
+    )
+    assert p.omega_m1 - p.coulomb_lambda ** 2 / p.omega_m2 == 0.0
     with pytest.raises(DegenerateNormalMode):
-        steady_state.displacements(G0_REF, 1.0 + 0.0j, OMEGA, OMEGA, OMEGA)
+        params.derive(p)
 
 
 def test_effective_coupling_reference_value():
-    g = steady_state.effective_coupling(G0_REF, complex(0.0, -ABS_CS_REF))
-    assert g == pytest.approx(GM_REF, rel=1e-12)
+    d = params.derive(params.SystemParams())
+    assert abs(d.c_s) == pytest.approx(ABS_CS_REF, rel=1e-12)
+    assert d.g_m == pytest.approx(GM_REF, rel=1e-12)
+    assert d.g_m == math.sqrt(2.0) * d.g0 * abs(d.c_s)
 
 
 def test_effective_coupling_is_phase_invariant():
-    c = complex(312.5, -87.25)
-    rotated = c * cmath.exp(1j * 0.73)
-    a = steady_state.effective_coupling(G0_REF, c)
-    b = steady_state.effective_coupling(G0_REF, rotated)
-    assert b == pytest.approx(a, rel=1e-12)
+    # flipping detuning and pump phase conjugates c_s; G sees only |c_s|
+    a = params.derive(params.SystemParams(detuning=OMEGA, opa_gain=3e7, opa_phase=0.4))
+    b = params.derive(
+        params.SystemParams(detuning=-OMEGA, opa_gain=3e7, opa_phase=-0.4)
+    )
+    assert b.c_s == pytest.approx(a.c_s.conjugate(), rel=1e-15)
+    assert a.c_s.imag != 0.0
+    assert b.g_m == pytest.approx(a.g_m, rel=1e-15)
+    assert b.q1s == pytest.approx(a.q1s, rel=1e-15)

@@ -5,6 +5,8 @@ import math
 import types
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omneg import cli, dynamics, entanglement, params, steady_state, sweep
 from omneg.errors import (
@@ -83,7 +85,7 @@ ROW_COLS = STABILITY_COLS + ("sigma", "varrho", "log_negativity")
     "exc, module, stage, code, cols, blocks",
     [
         (ThresholdSingularity, steady_state, "cavity_amplitude", 2, STEADY_COLS, ()),
-        (DegenerateNormalMode, steady_state, "displacements", 3, STEADY_COLS, ()),
+        (DegenerateNormalMode, params, "derive", 3, STEADY_COLS, ()),
         (EigenFailure, dynamics, "stability", 4, DERIVED_COLS, ("derived",)),
         (UnstableSystem, dynamics, "steady_covariance", 5, STABILITY_COLS,
          ("derived", "stability")),
@@ -166,6 +168,79 @@ def test_run_sweep_parallel_matches_serial_bytes(tmp_path):
     sweep.run_sweep(sweep.SweepSpec(base, axes, str(out1), parallel=1))
     sweep.run_sweep(sweep.SweepSpec(base, axes, str(out2), parallel=2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "parallel, rows, cpus, workers",
+    [
+        (100000, 3, 4, 3),
+        (100000, 10, 4, 4),
+        (3, 10, 4, 3),
+        (100000, 10, None, None),
+        (100000, 1, 4, None),
+        (1, 10, 4, None),
+    ],
+)
+def test_run_sweep_pool_size_is_bounded(monkeypatch, parallel, rows, cpus, workers):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+    monkeypatch.setattr(sweep, "multiprocessing", types.SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweep, "evaluate_point", lambda p: sweep.PointResult(0))
+    axes = (("power", tuple(0.01 * (i + 1) for i in range(rows))),)
+    spec = sweep.SweepSpec(params.reference_params(), axes, parallel=parallel)
+    got = sweep.run_sweep(spec)
+    assert len(got) == rows
+    assert started == ([] if workers is None else [workers])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    lam_frac=st.floats(-0.98, 0.98),
+    w2_frac=st.floats(0.5, 1.5),
+    detuning_frac=st.floats(0.3, 2.0),
+    power=st.floats(0.01, 0.1),
+    temperature=st.floats(0.0, 0.05),
+    opa_gain=st.floats(0.0, 4e7),
+    opa_phase=st.floats(-math.pi, math.pi),
+)
+def test_negativity_is_even_in_coulomb_coupling(
+    lam_frac, w2_frac, detuning_frac, power, temperature, opa_gain, opa_phase
+):
+    # lambda -> -lambda is the local flip (q2, p2) -> (-q2, -p2), which
+    # leaves E_N alone; at lambda = 0 the oscillators are a product
+    # state. At T = 0 that state sits on the separability boundary
+    # varrho = 1/2 itself, where roundoff leaves E_N ~ 1e-16.
+    base = params.SystemParams(
+        omega_m2=w2_frac * OMEGA,
+        detuning=detuning_frac * OMEGA,
+        power=power,
+        temperature=temperature,
+        opa_gain=opa_gain,
+        opa_phase=opa_phase,
+    )
+    lam = lam_frac * math.sqrt(base.omega_m1 * base.omega_m2)
+    plus = sweep.evaluate_point(dataclasses.replace(base, coulomb_lambda=lam))
+    assume(plus.error_code == sweep.ErrorCode.OK)
+    minus = sweep.evaluate_point(dataclasses.replace(base, coulomb_lambda=-lam))
+    assert minus.error_code == sweep.ErrorCode.OK
+    assert minus.log_negativity == pytest.approx(plus.log_negativity, rel=1e-9)
+    zero = sweep.evaluate_point(dataclasses.replace(base, coulomb_lambda=0.0))
+    assert zero.error_code == sweep.ErrorCode.OK
+    assert zero.log_negativity == pytest.approx(0.0, abs=1e-12)
 
 
 def test_run_sweep_bad_axis_value_flags_single_row():
