@@ -2,9 +2,10 @@
 
 The pipeline runs params.derive (the classical steady state) ->
 dynamics -> entanglement and is stated once, in ``sweep.run_stages``:
-it returns every stage's output plus the failure that stopped it.
-``evaluate_point`` (the CSV row), the ``point`` command and
-``critical_temperature`` all read that record; cli fronts everything
+for each point it returns every stage's output plus the failure that
+stopped it, solving the points' Lyapunov systems in stacks.
+``evaluate_point`` (the CSV row), grid sweeps, the ``point`` command
+and ``critical_temperature`` all read that record; cli fronts everything
 from the command line. All frequencies and rates are angular (rad/s);
 vacuum variance is 1/2.
 

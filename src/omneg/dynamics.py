@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import smallmat
-from .errors import SingularSolve, StepTooLarge, UnstableSystem
+from .errors import PointFailure, SingularSolve, StepTooLarge, UnstableSystem
 from .params import thermal_occupation
 
 __all__ = [
@@ -123,7 +123,7 @@ def stability(m, omega_scale: float) -> StabilityReport:
     )
 
 
-def steady_covariance(m, d, omega_scale: float) -> np.ndarray:
+def steady_covariance(m, d, omega_scale):
     """Steady covariance V solving M V + V M^T = -D.
 
     The 6x6 equation is vectorized row-major into a 36x36 linear solve;
@@ -133,27 +133,60 @@ def steady_covariance(m, d, omega_scale: float) -> np.ndarray:
     margin, and SingularSolve when the solve degenerates or leaves a
     residual above RESIDUAL_RTOL * ||D||_F; a V that overflows leaves a
     NaN residual, which fails that test too.
+
+    Stacks m and d of shape (B, 6, 6) with omega_scale of shape (B,)
+    are solved in one stacked elimination. The call then returns a list
+    of B entries, each the system's V or the PointFailure a single call
+    would raise for it, and each V equals the single call's to the bit.
     """
     marr = np.asarray(m, dtype=float)
     darr = np.asarray(d, dtype=float)
-    if marr.shape != darr.shape or marr.ndim != 2 or marr.shape[0] != marr.shape[1]:
+    if (marr.shape != darr.shape or marr.ndim not in (2, 3)
+            or marr.shape[-1] != marr.shape[-2]):
         raise ValueError(f"m and d must be matching square matrices, "
                          f"got {marr.shape} and {darr.shape}")
-    stability(marr, omega_scale).require_stable()
-    n = marr.shape[0]
-    eye = np.eye(n)
-    lhs = smallmat.kron(marr, eye) + smallmat.kron(eye, marr)
-    vec = smallmat.solve(lhs, -darr.ravel())
-    v = vec.reshape(n, n)
-    v = 0.5 * (v + v.T)
-    residual = smallmat.frob_norm(marr @ v + v @ marr.T + darr)
-    dnorm = smallmat.frob_norm(darr)
-    if not residual <= RESIDUAL_RTOL * dnorm:
-        raise SingularSolve(
-            f"Lyapunov residual {residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.0e} * ||D||_F = {RESIDUAL_RTOL * dnorm:.3e}"
-        )
-    return v
+    single = marr.ndim == 2
+    if single:
+        marr, darr, omega_scale = marr[None], darr[None], [omega_scale]
+    if np.shape(omega_scale) != marr.shape[:1]:
+        raise ValueError(f"omega_scale must hold one scale per system, "
+                         f"got shape {np.shape(omega_scale)} for {marr.shape[0]}")
+    out = []
+    for mi, scale in zip(marr, omega_scale):
+        try:
+            stability(mi, float(scale)).require_stable()
+        except PointFailure as exc:
+            out.append(exc.with_traceback(None))
+        else:
+            out.append(None)
+    solved = [i for i, v in enumerate(out) if v is None]
+    if solved:
+        ms, ds = (marr, darr) if len(solved) == len(out) else (marr[solved], darr[solved])
+        n = ms.shape[-1]
+        eye = np.eye(n)
+        lhs = smallmat.kron(ms, eye) + smallmat.kron(eye, ms)
+        vec, failures = smallmat.solve(lhs, -ds.reshape(len(solved), n * n))
+        # a failed system's NaN or inf fails the residual test, silently
+        with np.errstate(all="ignore"):
+            v = vec.reshape(-1, n, n)
+            v = 0.5 * (v + v.transpose(0, 2, 1))
+            residual = smallmat.frob_norm(ms @ v + v @ ms.transpose(0, 2, 1) + ds)
+        dnorm = smallmat.frob_norm(ds)
+        for j, i in enumerate(solved):
+            if failures[j] is not None:
+                out[i] = failures[j]
+            elif not residual[j] <= RESIDUAL_RTOL * dnorm[j]:
+                out[i] = SingularSolve(
+                    f"Lyapunov residual {residual[j]:.3e} exceeds "
+                    f"{RESIDUAL_RTOL:.0e} * ||D||_F = {RESIDUAL_RTOL * dnorm[j]:.3e}"
+                )
+            else:
+                out[i] = v[j]
+    if single:
+        if isinstance(out[0], PointFailure):
+            raise out[0]
+        return out[0]
+    return out
 
 
 def evolve_covariance(m, d, v0, t_end: float, dt: float) -> np.ndarray:

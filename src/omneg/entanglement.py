@@ -39,10 +39,12 @@ def log_negativity(v) -> EntanglementResult:
     smaller symplectic eigenvalue of the partial transpose:
     varrho^2 = (Sigma - sqrt(Sigma^2 - 4 det V)) / 2 with
     Sigma = det A + det B - 2 det C. The state is entangled exactly
-    when varrho < 1/2 (vacuum variance). Raises ValueError unless v is
-    4x4, and NonPhysicalState when Sigma^2 - 4 det V is not finite,
-    which also covers a non-finite Sigma or det V, or when either
-    square root argument is negative beyond roundoff.
+    when varrho < 1/2 (vacuum variance); a varrho within the relative
+    roundoff band PHYS_EPS_FLOOR below 1/2 counts as separable, with
+    E_N = 0. Raises ValueError unless v is 4x4, and NonPhysicalState
+    when Sigma^2 - 4 det V is not finite, which also covers a
+    non-finite Sigma or det V, or when either square root argument is
+    negative beyond roundoff.
     """
     arr = np.asarray(v, dtype=float)
     if arr.shape != (4, 4):
@@ -75,13 +77,18 @@ def log_negativity(v) -> EntanglementResult:
         )
     inner = max(inner, 0.0)
     varrho = math.sqrt(inner)
-    if varrho == 0.0:
+    # a product state on the boundary (a vacuum mode at T = 0) can land a
+    # few ulps below 1/2; that band is roundoff, not entanglement
+    entangled = varrho < 0.5 * (1.0 - PHYS_EPS_FLOOR)
+    if not entangled:
+        log_neg = 0.0
+    elif varrho == 0.0:
         log_neg = math.inf
     else:
-        log_neg = max(0.0, -math.log(2.0 * varrho))
+        log_neg = -math.log(2.0 * varrho)
     return EntanglementResult(
         sigma=sigma,
         varrho=varrho,
         log_negativity=log_neg,
-        entangled=bool(varrho < 0.5),
+        entangled=entangled,
     )

@@ -5,7 +5,8 @@ the public entry points in ``dynamics`` and ``entanglement``, and
 non-finite arithmetic is classified by their stage guards. Eigenvalues
 go through LAPACK, whose own finiteness check turns a non-finite matrix
 into EigenFailure; the elimination kernels are local so the pivot
-policy stays explicit.
+policy stays explicit. ``solve``, ``kron`` and ``frob_norm`` also take
+stacks of matrices along a leading axis.
 """
 
 from __future__ import annotations
@@ -29,32 +30,65 @@ def eigenvalues(a) -> np.ndarray:
     return np.asarray(w, dtype=complex)
 
 
-def solve(a, b) -> np.ndarray:
+def solve(a, b):
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    Raises SingularSolve when a pivot magnitude falls below
-    PIVOT_RTOL * ||A||_inf.
+    a is one (n, n) system with b of shape (n,), or a stack (B, n, n)
+    with b of shape (B, n) whose systems are eliminated in lockstep:
+    every system takes its own pivots and sees the same per-element
+    operations as when solved alone, so its x is the same to the bit.
+    A pivot magnitude below PIVOT_RTOL * ||A||_inf marks a system
+    singular at the first column where it happens. A 2-D call returns
+    x or raises SingularSolve; a stacked call returns (x, failures),
+    failures[i] being the SingularSolve of system i or None, and the
+    rows of x for failed systems are meaningless.
     """
-    arr = np.array(a, dtype=float)
-    vec = np.array(b, dtype=float)
-    n = arr.shape[0]
-    anorm = float(np.abs(arr).sum(axis=1).max()) if n else 0.0
-    threshold = PIVOT_RTOL * anorm
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(arr[k:, k])))
-        if abs(arr[p, k]) < threshold or arr[p, k] == 0.0:
-            raise SingularSolve(
-                f"pivot {arr[p, k]:.3e} below {threshold:.3e} in column {k}"
-            )
-        if p != k:
-            arr[[k, p]] = arr[[p, k]]
-            vec[[k, p]] = vec[[p, k]]
-        mult = arr[k + 1:, k] / arr[k, k]
-        arr[k + 1:, k + 1:] -= np.outer(mult, arr[k, k + 1:])
-        vec[k + 1:] -= mult * vec[k]
-    for k in range(n - 1, -1, -1):
-        vec[k] = (vec[k] - arr[k, k + 1:] @ vec[k + 1:]) / arr[k, k]
-    return vec
+    arr = np.asarray(a, dtype=float)
+    single = arr.ndim == 2
+    if single:
+        arr = arr[None]
+    size, n, _ = arr.shape
+    # b rides along as column n, so row swaps and updates carry it with
+    # the same operations as the matrix
+    work = np.empty((size, n, n + 1))
+    work[:, :, :n] = arr
+    work[:, :, n] = b
+    threshold = PIVOT_RTOL * np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
+    rows = work.reshape(size * n, n + 1)
+    # row_k[k] holds the flat index of row k of every system
+    row_k = np.arange(n)[:, None] + np.arange(0, size * n, n)
+    # a singular system divides by a zero or tiny pivot; its NaN and inf
+    # stay in its own rows, and the pivot test below reports it
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            p = np.abs(work[:, k:, k]).argmax(axis=1)
+            if np.count_nonzero(p):
+                p += row_k[k]
+                pivot_row = rows[p]
+                rows[p] = work[:, k]
+                work[:, k] = pivot_row
+            mult = work[:, k + 1:, k, None] / work[:, k, None, k, None]
+            work[:, k + 1:, k + 1:] -= mult * work[:, k, None, k + 1:]
+        x = work[:, :, n].copy()
+        x_col = x[:, :, None]
+        for k in range(n - 1, -1, -1):
+            # (1, k) @ (k, 1) per system reduces as the 1-D dot product does
+            dot = work[:, k, None, k + 1:n] @ x_col[:, k + 1:]
+            x[:, k] = (x[:, k] - dot[:, 0, 0]) / work[:, k, k]
+    # each pivot stays on the diagonal once its column is eliminated
+    pivots = work[:, range(n), range(n)]
+    bad = (np.abs(pivots) < threshold[:, None]) | (pivots == 0.0)
+    failures = [None] * size
+    for i in np.flatnonzero(bad.any(axis=1)):
+        k = int(bad[i].argmax())
+        failures[i] = SingularSolve(
+            f"pivot {pivots[i, k]:.3e} below {threshold[i]:.3e} in column {k}"
+        )
+    if single:
+        if failures[0] is not None:
+            raise failures[0]
+        return x[0]
+    return x, failures
 
 
 def det(a) -> float:
@@ -80,11 +114,22 @@ def det(a) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(a, b)
+    """Kronecker product of the last two axes; leading axes broadcast.
+
+    Each entry is the one product a[..., i, j] * b[..., k, l] that
+    ``np.kron`` forms, without its general-rank set-up.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def frob_norm(a) -> float:
-    """Frobenius norm sqrt(sum a_ij^2)."""
+def frob_norm(a):
+    """Frobenius norm sqrt(sum a_ij^2) over the last two axes.
+
+    A float for one matrix, an array of norms for a stack.
+    """
     arr = np.asarray(a, dtype=float)
-    return float(np.sqrt((arr * arr).sum()))
+    norm = np.sqrt((arr * arr).sum(axis=(-2, -1)))
+    return float(norm) if arr.ndim == 2 else norm

@@ -27,6 +27,7 @@ from .params import DerivedQuantities, SystemParams
 __all__ = [
     "ErrorCode",
     "Stages",
+    "STACK_ROWS",
     "run_stages",
     "PointResult",
     "SweepRow",
@@ -64,28 +65,62 @@ class Stages:
         return self.entanglement.log_negativity
 
 
-def run_stages(p: SystemParams) -> Stages:
-    """Run the pipeline once at one operating point.
+# rows per stacked Lyapunov solve: the stack shares the elimination's
+# per-column overhead, and 32 systems of 36x37 stay near 340 kB
+STACK_ROWS = 32
+
+
+def run_stages(points) -> list[Stages]:
+    """Run the pipeline at each operating point, one Stages per point.
 
     Stages: steady state (params.derive), drift and diffusion,
     stability, steady covariance, negativity of its oscillator block.
-    The first PointFailure stops the run and is kept in the record.
+    The first PointFailure stops a point's run and is kept in its
+    record. Every stage but the covariance runs point by point; the
+    points that reach it are solved in stacks of at most STACK_ROWS,
+    in order. A point's record is the same whatever other points share
+    the call.
     """
-    nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
-    derived = report = ent = None
-    try:
-        derived = params_mod.derive(p)
-        m = dynamics.build_drift(p, derived.g_m)
-        d = dynamics.build_diffusion(p)
-        report = dynamics.stability(m, omega_scale=p.omega_m1)
-        report.require_stable()
-        v = dynamics.steady_covariance(m, d, omega_scale=p.omega_m1)
-        ent = entanglement.log_negativity(v[:4, :4])
-    except PointFailure as exc:
-        # kept without its traceback, whose frames link back to the
-        # caller's local holding this record: a reference cycle per row
-        return Stages(nbar, derived, report, ent, failure=exc.with_traceback(None))
-    return Stages(nbar, derived, report, ent)
+    records = []
+    pending = []
+    for p in points:
+        nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
+        derived = report = None
+        try:
+            derived = params_mod.derive(p)
+            m = dynamics.build_drift(p, derived.g_m)
+            d = dynamics.build_diffusion(p)
+            report = dynamics.stability(m, omega_scale=p.omega_m1)
+            report.require_stable()
+        except PointFailure as exc:
+            # kept without its traceback, whose frames link back to the
+            # caller's local holding this record: a reference cycle per row
+            records.append(Stages(nbar, derived, report, failure=exc.with_traceback(None)))
+            continue
+        pending.append((len(records), nbar, derived, report, m, d, p.omega_m1))
+        records.append(None)  # filled in when its stack is solved
+        if len(pending) == STACK_ROWS:
+            _covariance_and_negativity(pending, records)
+            pending = []
+    if pending:
+        _covariance_and_negativity(pending, records)
+    return records
+
+
+def _covariance_and_negativity(pending, records) -> None:
+    """Solve the pending points' covariances as one stack, then their E_N."""
+    index, nbar, derived, report, ms, ds, scales = zip(*pending)
+    covariances = dynamics.steady_covariance(np.array(ms), np.array(ds), np.array(scales))
+    for j, v in enumerate(covariances):
+        ent = failure = None
+        if isinstance(v, PointFailure):
+            failure = v
+        else:
+            try:
+                ent = entanglement.log_negativity(v[:4, :4])
+            except PointFailure as exc:
+                failure = exc.with_traceback(None)
+        records[index[j]] = Stages(nbar[j], derived[j], report[j], ent, failure)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,7 +177,11 @@ def evaluate_point(p: SystemParams) -> PointResult:
     A failing stage flags the row with its error code and leaves every
     later column empty; columns already computed stay filled.
     """
-    stages = run_stages(p)
+    return _flatten(run_stages([p])[0])
+
+
+def _flatten(stages: Stages) -> PointResult:
+    """The CSV row of one point's pipeline record."""
     cols = {"nbar": stages.nbar}
     if stages.derived is not None:
         cols.update(
@@ -165,14 +204,25 @@ def evaluate_point(p: SystemParams) -> PointResult:
     return PointResult(error_code=code, **cols)
 
 
-def _grid_task(task) -> PointResult:
-    """Worker body: apply one grid point's overrides and evaluate."""
-    base, items = task
-    try:
-        point = dataclasses.replace(base, **dict(items))
-    except ValueError:
-        return PointResult(error_code=ErrorCode.INVALID_PARAMS)
-    return evaluate_point(point)
+def _grid_task(task) -> list[PointResult]:
+    """Worker body: evaluate a contiguous run of grid points in order.
+
+    A point whose overrides fail validation gets code 1; the rest share
+    one run_stages call.
+    """
+    base, names, combos = task
+    points = []
+    for combo in combos:
+        try:
+            points.append(dataclasses.replace(base, **dict(zip(names, combo))))
+        except ValueError:
+            points.append(None)
+    records = iter(run_stages([p for p in points if p is not None]))
+    return [
+        PointResult(error_code=ErrorCode.INVALID_PARAMS) if p is None
+        else _flatten(next(records))
+        for p in points
+    ]
 
 
 def _validate_spec(spec: SweepSpec) -> None:
@@ -195,19 +245,25 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     axis slowest) regardless of worker count, and each point is a pure
     function of its parameters, so reruns with different parallelism
     produce identical tables. The pool gets min(parallel, rows, CPUs)
-    workers and is skipped when that is 1. With output_path set the
-    table is also written as CSV; I/O failures propagate as OSError.
+    workers and is skipped when that is 1. Rows go to run_stages in
+    contiguous chunks of at most STACK_ROWS, at least one per worker.
+    With output_path set the table is also written as CSV; I/O failures
+    propagate as OSError.
     """
     _validate_spec(spec)
     names = tuple(name for name, _ in spec.axes)
     combos = list(itertools.product(*(values for _, values in spec.axes)))
-    tasks = [(spec.base, tuple(zip(names, combo))) for combo in combos]
-    workers = min(spec.parallel, len(tasks), os.cpu_count() or 1)
+    workers = min(spec.parallel, len(combos), os.cpu_count() or 1)
+    size = min(STACK_ROWS, -(-len(combos) // workers))
+    tasks = [
+        (spec.base, names, combos[i:i + size]) for i in range(0, len(combos), size)
+    ]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_grid_task, tasks)
+            chunks = pool.map(_grid_task, tasks)
     else:
-        results = [_grid_task(t) for t in tasks]
+        chunks = [_grid_task(t) for t in tasks]
+    results = itertools.chain.from_iterable(chunks)
     rows = [
         SweepRow(axis_values=tuple(combo), result=res)
         for combo, res in zip(combos, results)
@@ -319,7 +375,8 @@ def critical_temperature(
     """Temperature where steady-state E_N falls to zero.
 
     A 32-point coarse scan over [t_lo, t_hi] brackets the last
-    positive-to-zero crossing, then bisection narrows it to width tol
+    positive-to-zero crossing (its 30 interior points are one
+    run_stages call), then bisection narrows it to width tol
     or to float resolution, whichever comes first; the bracket midpoint
     comes back. Raises NoEntanglementAtFloor when
     E_N(t_lo) = 0 and NoDeathBelowCeiling when E_N(t_hi) > 0; pipeline
@@ -330,10 +387,11 @@ def critical_temperature(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
+    def at(temperatures) -> list[Stages]:
+        return run_stages([dataclasses.replace(p, temperature=t) for t in temperatures])
+
     def en_at(temperature: float) -> float:
-        return run_stages(
-            dataclasses.replace(p, temperature=temperature)
-        ).checked_en()
+        return at([temperature])[0].checked_en()
 
     en_lo = en_at(t_lo)
     if en_lo <= 0.0:
@@ -347,7 +405,8 @@ def critical_temperature(
         )
     # linspace returns t_lo and t_hi exactly, so the guards' values end the scan
     grid = np.linspace(t_lo, t_hi, _COARSE_SCAN_POINTS)
-    values = [en_lo, *(en_at(float(t)) for t in grid[1:-1]), en_hi]
+    scan = at([float(t) for t in grid[1:-1]])
+    values = [en_lo, *(stages.checked_en() for stages in scan), en_hi]
     # values[0] > 0 >= values[-1], so a crossing exists
     for i in range(_COARSE_SCAN_POINTS - 1):
         if values[i] > 0.0 and values[i + 1] <= 0.0:

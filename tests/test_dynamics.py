@@ -188,6 +188,57 @@ def test_steady_covariance_singular_solve_guard():
         dynamics.steady_covariance(m, np.eye(6), omega_scale=1e-300)
 
 
+def stable_pairs(count, seed):
+    """Random stable drifts with positive semidefinite diffusions."""
+    rng = np.random.default_rng(seed)
+    ms, ds = [], []
+    for _ in range(count):
+        a = rng.standard_normal((6, 6))
+        ms.append(a - (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(6))
+        c = rng.standard_normal((6, 6))
+        ds.append(c @ c.T)
+    return np.array(ms), np.array(ds)
+
+
+def test_steady_covariance_stack_matches_single_calls_bit_for_bit():
+    ms, ds = stable_pairs(35, seed=23)
+    scales = np.ones(35)
+    got = dynamics.steady_covariance(ms, ds, scales)
+    assert len(got) == 35
+    for m, d, v in zip(ms, ds, got):
+        alone = dynamics.steady_covariance(m, d, omega_scale=1.0)
+        assert np.array_equal(v.view(np.int64), alone.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_steady_covariance_stack_reports_failures_per_system():
+    # code 5 (unstable) and code 6 (singular) rows share the stack with
+    # solvable ones, which come out as they do alone; the singular
+    # system's subnormal pivot overflows its own rows without a warning
+    ms, ds = stable_pairs(3, seed=29)
+    unstable = np.diag([0.5] + [-1.0] * 5)
+    singular = np.diag([-1.0] * 5 + [-1e-320])
+    m = np.array([ms[0], unstable, ms[1], singular, ms[2]])
+    d = np.array([ds[0], np.eye(6), ds[1], np.eye(6), ds[2]])
+    scales = np.array([1.0, 1.0, 1.0, 1e-320, 1.0])
+    got = dynamics.steady_covariance(m, d, scales)
+    for i, exc in ((1, UnstableSystem), (3, SingularSolve)):
+        with pytest.raises(exc) as alone:
+            dynamics.steady_covariance(m[i], d[i], omega_scale=scales[i])
+        assert type(got[i]) is exc and str(got[i]) == str(alone.value)
+    for i in (0, 2, 4):
+        alone = dynamics.steady_covariance(m[i], d[i], omega_scale=1.0)
+        assert np.array_equal(got[i], alone)
+
+
+def test_steady_covariance_stack_needs_one_scale_per_system():
+    ms, ds = stable_pairs(2, seed=31)
+    with pytest.raises(ValueError):
+        dynamics.steady_covariance(ms, ds, 1.0)
+    with pytest.raises(ValueError):
+        dynamics.steady_covariance(ms, ds, np.ones(3))
+
+
 ANY_FLOAT = st.one_of(
     st.floats(), st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300])
 )

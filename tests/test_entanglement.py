@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from omneg import entanglement
+from omneg import entanglement, sweep
+from omneg.params import SystemParams
 from omneg.errors import NonPhysicalState
 
 
@@ -49,6 +50,27 @@ def test_two_mode_squeezed_vacuum(r):
     assert res.log_negativity == pytest.approx(2.0 * r, abs=1e-9)
     assert res.entangled
     assert res.varrho == pytest.approx(0.5 * math.exp(-2.0 * r), rel=1e-9)
+
+
+def test_roundoff_band_below_half_is_separable():
+    # a product state diag(1/2, 1/2, x, x) has varrho = x; a few ulps
+    # below 1/2 is roundoff, a relative 1e-11 below it is entanglement
+    band = entanglement.log_negativity(np.diag([0.5, 0.5, 0.5 - 5e-16, 0.5 - 5e-16]))
+    assert band.varrho < 0.5
+    assert band.log_negativity == 0.0 and not band.entangled
+    outside = entanglement.log_negativity(np.diag([0.5, 0.5, 0.5 - 5e-12, 0.5 - 5e-12]))
+    assert outside.entangled and outside.log_negativity > 0.0
+
+
+def test_uncoupled_pair_at_zero_temperature_is_separable():
+    # oscillator 2 sits in vacuum, on the boundary varrho = 1/2, where
+    # the pipeline lands a few ulps below it
+    omega = 2.0 * math.pi * 1e8
+    p = SystemParams(temperature=0.0, detuning=0.625 * omega, power=0.03125)
+    (stages,) = sweep.run_stages([p])
+    result = stages.entanglement
+    assert result.varrho == pytest.approx(0.5, rel=1e-12)
+    assert result.log_negativity == 0.0 and not result.entangled
 
 
 def test_uncorrelated_thermal_state_not_entangled():

@@ -55,6 +55,47 @@ def test_solve_pivot_threshold_is_relative_to_matrix_norm():
     assert smallmat.solve(b, np.array([1.0, 1.0]))[1] == pytest.approx(1e2)
 
 
+def lyapunov_systems(count, seed):
+    """Vectorized Lyapunov systems of random stable 6x6 drifts, with RHS."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(6)
+    lhs, rhs = [], []
+    for _ in range(count):
+        a = rng.standard_normal((6, 6))
+        m = a - (np.linalg.eigvals(a).real.max() + 0.5) * eye
+        lhs.append(np.kron(m, eye) + np.kron(eye, m))
+        rhs.append(-np.diag(rng.uniform(0.0, 2.0, 6)).ravel())
+    return np.array(lhs), np.array(rhs)
+
+
+def test_solve_stack_matches_single_systems_bit_for_bit():
+    lhs, rhs = lyapunov_systems(40, seed=5)
+    x, failures = smallmat.solve(lhs, rhs)
+    assert failures == [None] * 40
+    single = np.array([smallmat.solve(a, b) for a, b in zip(lhs, rhs)])
+    assert np.array_equal(x.view(np.int64), single.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_stack_flags_singular_system_alone():
+    # the 1e-16 pivot divides within its own system only: no warning,
+    # and the neighbours' solutions are those they get alone
+    good = np.array([[0.0, 2.0], [3.0, 1.0]]), np.array([[4.0, 1.0], [1.0, 3.0]])
+    singular = np.diag([1.0, 1e-16])
+    zero = np.zeros((2, 2))
+    stack = np.array([good[0], singular, good[1], zero])
+    rhs = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, -1.0], [1.0, 1.0]])
+    x, failures = smallmat.solve(stack, rhs)
+    for i in (1, 3):
+        with pytest.raises(SingularSolve) as alone:
+            smallmat.solve(stack[i], rhs[i])
+        assert isinstance(failures[i], SingularSolve)
+        assert str(failures[i]) == str(alone.value)
+    for i in (0, 2):
+        assert failures[i] is None
+        assert np.array_equal(x[i], smallmat.solve(stack[i], rhs[i]))
+
+
 def test_solve_shape_checks():
     with pytest.raises(ValueError):
         smallmat.solve(np.eye(2), np.zeros(3))
@@ -87,6 +128,23 @@ def test_kron_block_structure():
     k = smallmat.kron(a, b)
     assert k.shape == (4, 4)
     assert np.array_equal(k[0:2, 2:4], 2.0 * b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kron_matches_numpy_bit_for_bit():
+    # signed zeros, infinities and NaN come from the same products
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((3, 4, 4))
+    a[0, 0, 0], a[1, 2, 3], a[2, 1, 1] = -0.0, np.inf, np.nan
+    b = rng.standard_normal((2, 3))
+    for x, y in ((a[0], b), (b, a[1]), (a[2], a[1])):
+        assert np.array_equal(smallmat.kron(x, y).view(np.int64), np.kron(x, y).view(np.int64))
+    eye = np.eye(4)
+    for stacked in (smallmat.kron(a, eye), smallmat.kron(eye, a)):
+        assert stacked.shape == (3, 16, 16)
+    for i in range(3):
+        assert np.array_equal(smallmat.kron(a, eye)[i].view(np.int64), np.kron(a[i], eye).view(np.int64))
+        assert np.array_equal(smallmat.kron(eye, a)[i].view(np.int64), np.kron(eye, a[i]).view(np.int64))
 
 
 def test_frob_norm():

@@ -4,6 +4,7 @@ import json
 import math
 import types
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -101,7 +102,11 @@ def test_stage_failure_maps_to_row_json_and_search(
     def fail(*args, **kwargs):
         raise exc("injected")
 
-    monkeypatch.setattr(module, stage, fail)
+    def fail_rows(m, d, omega_scale):
+        # a stacked covariance reports each system's failure in its entry
+        return [exc("injected") for _ in m]
+
+    monkeypatch.setattr(module, stage, fail_rows if stage == "steady_covariance" else fail)
     r = sweep.evaluate_point(strong_point())
     assert r.error_code == code and exc.code == code
     assert {c for c in ROW_COLS if getattr(r, c) is not None} == set(cols)
@@ -183,6 +188,7 @@ def test_run_sweep_parallel_matches_serial_bytes(tmp_path):
 )
 def test_run_sweep_pool_size_is_bounded(monkeypatch, parallel, rows, cpus, workers):
     started = []
+    mapped = []
 
     class FakePool:
         def __init__(self, processes):
@@ -195,16 +201,19 @@ def test_run_sweep_pool_size_is_bounded(monkeypatch, parallel, rows, cpus, worke
             return False
 
         def map(self, func, tasks):
+            mapped.append(len(tasks))
             return [func(t) for t in tasks]
 
     monkeypatch.setattr(sweep, "multiprocessing", types.SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(sweep, "evaluate_point", lambda p: sweep.PointResult(0))
+    monkeypatch.setattr(sweep, "run_stages", lambda points: [sweep.Stages(0.0) for _ in points])
     axes = (("power", tuple(0.01 * (i + 1) for i in range(rows))),)
     spec = sweep.SweepSpec(params.reference_params(), axes, parallel=parallel)
     got = sweep.run_sweep(spec)
     assert len(got) == rows
     assert started == ([] if workers is None else [workers])
+    # every worker gets at least one contiguous chunk
+    assert mapped == ([] if workers is None else [max(workers, -(-rows // sweep.STACK_ROWS))])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -223,7 +232,7 @@ def test_negativity_is_even_in_coulomb_coupling(
     # lambda -> -lambda is the local flip (q2, p2) -> (-q2, -p2), which
     # leaves E_N alone; at lambda = 0 the oscillators are a product
     # state. At T = 0 that state sits on the separability boundary
-    # varrho = 1/2 itself, where roundoff leaves E_N ~ 1e-16.
+    # varrho = 1/2 itself, inside log_negativity's roundoff band.
     base = params.SystemParams(
         omega_m2=w2_frac * OMEGA,
         detuning=detuning_frac * OMEGA,
@@ -240,7 +249,67 @@ def test_negativity_is_even_in_coulomb_coupling(
     assert minus.log_negativity == pytest.approx(plus.log_negativity, rel=1e-9)
     zero = sweep.evaluate_point(dataclasses.replace(base, coulomb_lambda=0.0))
     assert zero.error_code == sweep.ErrorCode.OK
-    assert zero.log_negativity == pytest.approx(0.0, abs=1e-12)
+    assert zero.log_negativity == 0.0
+
+
+def same_record(a: sweep.Stages, b: sweep.Stages) -> bool:
+    """Field-for-field equality; float reprs round-trip, so equal bits."""
+    return (
+        repr(dataclasses.replace(a, failure=None)) == repr(dataclasses.replace(b, failure=None))
+        and type(a.failure) is type(b.failure)
+        and str(a.failure) == str(b.failure)
+    )
+
+
+# (code, detuning / omega_m, opa_gain range): red-detuned and below
+# threshold (0), on resonance above the pump threshold (2), blue-detuned
+# and unstable (5)
+POINT_KINDS = (
+    (0, (0.3, 2.0), (0.0, 4e7)),
+    (0, (0.3, 2.0), (0.0, 4e7)),
+    (2, (0.0, 0.05), (5e7, 2e8)),
+    (5, (-1.5, -0.3), (0.0, 4e7)),
+)
+
+
+@st.composite
+def coded_points(draw):
+    code, (d_lo, d_hi), (g_lo, g_hi) = draw(st.sampled_from(POINT_KINDS))
+    point = params.SystemParams(
+        coulomb_lambda=draw(st.floats(-0.98, 0.98)) * OMEGA,
+        detuning=draw(st.floats(d_lo, d_hi)) * OMEGA,
+        opa_gain=draw(st.floats(g_lo, g_hi)),
+        opa_phase=draw(st.floats(-math.pi, math.pi)),
+        power=draw(st.floats(0.01, 0.1)),
+        temperature=draw(st.floats(0.0, 0.05)),
+    )
+    return code, point
+
+
+# sizes drawn uniformly, so batches often fill one stack and spill into more
+BATCHES = st.integers(1, 2 * sweep.STACK_ROWS + 6).flatmap(
+    lambda n: st.lists(coded_points(), min_size=n, max_size=n)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(BATCHES)
+def test_any_batch_gives_each_row_as_alone(coded):
+    codes, points = zip(*coded)
+    batch = sweep.run_stages(points)
+    assert len(batch) == len(points)
+    for code, p, record in zip(codes, points, batch):
+        assert (0 if record.failure is None else record.failure.code) == code
+        assert same_record(record, sweep.run_stages([p])[0])
+
+
+@pytest.mark.parametrize("rows", [1, sweep.STACK_ROWS, sweep.STACK_ROWS + 1])
+def test_run_sweep_rows_do_not_depend_on_workers(rows):
+    axes = (("detuning", tuple(np.linspace(-0.5, 2.0, rows) * OMEGA)),)
+    base = params.SystemParams(coulomb_lambda=0.95 * OMEGA, opa_gain=2e7)
+    serial = sweep.run_sweep(sweep.SweepSpec(base, axes, parallel=1))
+    pooled = sweep.run_sweep(sweep.SweepSpec(base, axes, parallel=2))
+    assert repr(serial) == repr(pooled)
 
 
 def test_run_sweep_bad_axis_value_flags_single_row():
@@ -394,11 +463,11 @@ def probed_temperatures(monkeypatch, limit=500):
     seen = []
     run = sweep.run_stages
 
-    def counted(p):
-        seen.append(p.temperature)
+    def counted(points):
+        seen.extend(p.temperature for p in points)
         if len(seen) > limit:
             raise AssertionError(f"more than {limit} pipeline runs")
-        return run(p)
+        return run(points)
 
     monkeypatch.setattr(sweep, "run_stages", counted)
     return seen
