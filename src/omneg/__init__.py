@@ -1,12 +1,12 @@
 """Steady-state entanglement of Coulomb-coupled oscillators in a pumped cavity.
 
-The pipeline runs params.derive (the classical steady state) ->
-dynamics -> entanglement and is stated once, in ``sweep.run_stages``:
-for each point it returns every stage's output plus the failure that
-stopped it, solving the points' Lyapunov systems in stacks.
-``evaluate_point`` (the CSV row), grid sweeps, the ``point`` command
-and ``critical_temperature`` all read that record; cli fronts everything
-from the command line. All frequencies and rates are angular (rad/s);
+The pipeline runs parameter validation -> params.derive (the classical
+steady state) -> dynamics -> entanglement and is stated once, in
+``sweep.run_stages(base, overrides)``: for each override dict it
+returns every stage's output plus the failure that stopped it, solving
+the points' Lyapunov systems in stacks. ``evaluate_point`` (the CSV
+row), grid sweeps, the ``point`` command and ``critical_temperature``
+all read that record; cli fronts everything from the command line. All frequencies and rates are angular (rad/s);
 vacuum variance is 1/2.
 
 The package root exports the library entry points, the parameter and
@@ -21,6 +21,7 @@ from .errors import (
     DegenerateNormalMode,
     ErrorCode,
     EigenFailure,
+    InvalidParams,
     NoDeathBelowCeiling,
     NoEntanglementAtFloor,
     NonPhysicalState,
@@ -54,6 +55,7 @@ __all__ = [
     "OmnegError",
     "ConfigError",
     "PointFailure",
+    "InvalidParams",
     "ThresholdSingularity",
     "DegenerateNormalMode",
     "UnstableSystem",

@@ -113,7 +113,7 @@ def _load_point_config(path) -> params_mod.SystemParams:
 
 def _cmd_point(args) -> int:
     point = config.apply_overrides(_load_point_config(args.config), args.set)
-    (stages,) = sweep.run_stages([point])
+    (stages,) = sweep.run_stages(point, [{}])
     out = {
         "params": dataclasses.asdict(point),
         "derived": None,

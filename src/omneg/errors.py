@@ -7,6 +7,7 @@ __all__ = [
     "OmnegError",
     "ConfigError",
     "PointFailure",
+    "InvalidParams",
     "ThresholdSingularity",
     "DegenerateNormalMode",
     "UnstableSystem",
@@ -48,6 +49,12 @@ class PointFailure(OmnegError):
     """
 
     code: ErrorCode
+
+
+class InvalidParams(PointFailure):
+    """The point's parameters fail SystemParams validation."""
+
+    code = ErrorCode.INVALID_PARAMS
 
 
 class ThresholdSingularity(PointFailure):

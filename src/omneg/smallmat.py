@@ -5,8 +5,8 @@ the public entry points in ``dynamics`` and ``entanglement``, and
 non-finite arithmetic is classified by their stage guards. Eigenvalues
 go through LAPACK, whose own finiteness check turns a non-finite matrix
 into EigenFailure; the elimination kernels are local so the pivot
-policy stays explicit. ``solve``, ``kron`` and ``frob_norm`` also take
-stacks of matrices along a leading axis.
+policy stays explicit. ``solve`` takes stacks of matrices along a
+leading axis; ``kron`` and ``frob_norm`` take one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -33,20 +33,15 @@ def eigenvalues(a) -> np.ndarray:
 def solve(a, b):
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    a is one (n, n) system with b of shape (n,), or a stack (B, n, n)
-    with b of shape (B, n) whose systems are eliminated in lockstep:
-    every system takes its own pivots and sees the same per-element
-    operations as when solved alone, so its x is the same to the bit.
-    A pivot magnitude below PIVOT_RTOL * ||A||_inf marks a system
-    singular at the first column where it happens. A 2-D call returns
-    x or raises SingularSolve; a stacked call returns (x, failures),
-    failures[i] being the SingularSolve of system i or None, and the
-    rows of x for failed systems are meaningless.
+    a is a stack (B, n, n) with b of shape (B, n); its systems are
+    eliminated in lockstep: every system takes its own pivots and sees
+    the same per-element operations as when solved alone, so its x is
+    the same to the bit. A pivot magnitude below PIVOT_RTOL * ||A||_inf
+    marks a system singular at the first column where it happens.
+    Returns (x, failures), failures[i] being the SingularSolve of
+    system i or None; the rows of x for failed systems are meaningless.
     """
     arr = np.asarray(a, dtype=float)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[None]
     size, n, _ = arr.shape
     # b rides along as column n, so row swaps and updates carry it with
     # the same operations as the matrix
@@ -84,10 +79,6 @@ def solve(a, b):
         failures[i] = SingularSolve(
             f"pivot {pivots[i, k]:.3e} below {threshold[i]:.3e} in column {k}"
         )
-    if single:
-        if failures[0] is not None:
-            raise failures[0]
-        return x[0]
     return x, failures
 
 
@@ -125,11 +116,6 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
-def frob_norm(a):
-    """Frobenius norm sqrt(sum a_ij^2) over the last two axes.
-
-    A float for one matrix, an array of norms for a stack.
-    """
-    arr = np.asarray(a, dtype=float)
-    norm = np.sqrt((arr * arr).sum(axis=(-2, -1)))
-    return float(norm) if arr.ndim == 2 else norm
+def frob_norm(arr):
+    """Frobenius norm sqrt(sum a_ij^2) over the last two axes of an ndarray."""
+    return np.sqrt((arr * arr).sum(axis=(-2, -1)))

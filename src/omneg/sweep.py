@@ -8,6 +8,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import typing
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .entanglement import EntanglementResult
 from .errors import (
     ConfigError,
     ErrorCode,
+    InvalidParams,
     NoDeathBelowCeiling,
     NoEntanglementAtFloor,
     PointFailure,
@@ -49,10 +51,10 @@ class Stages:
 
     A failing stage leaves its own field and every later one None and
     records its exception in ``failure``. ``nbar`` is oscillator 1's
-    bath occupation, which no stage can fail to produce.
+    bath occupation, None only when validation rejected the point.
     """
 
-    nbar: float
+    nbar: float | None = None
     derived: DerivedQuantities | None = None
     stability: StabilityReport | None = None
     entanglement: EntanglementResult | None = None
@@ -70,20 +72,26 @@ class Stages:
 STACK_ROWS = 32
 
 
-def run_stages(points) -> list[Stages]:
-    """Run the pipeline at each operating point, one Stages per point.
+def run_stages(base: SystemParams, overrides) -> list[Stages]:
+    """Run the pipeline at base with each override dict applied, one Stages each.
 
-    Stages: steady state (params.derive), drift and diffusion,
-    stability, steady covariance, negativity of its oscillator block.
-    The first PointFailure stops a point's run and is kept in its
-    record. Every stage but the covariance runs point by point; the
-    points that reach it are solved in stacks of at most STACK_ROWS,
-    in order. A point's record is the same whatever other points share
-    the call.
+    Stages: validation (``dataclasses.replace(base, **changes)``; a
+    rejected point fails with InvalidParams), steady state
+    (params.derive), drift and diffusion, stability, steady covariance,
+    negativity of its oscillator block. The first PointFailure stops a
+    point's run and is kept in its record. Every stage but the
+    covariance runs point by point; the points that reach it are solved
+    in stacks of at most STACK_ROWS, in order. A point's record is the
+    same whatever other points share the call.
     """
     records = []
     pending = []
-    for p in points:
+    for changes in overrides:
+        try:
+            p = dataclasses.replace(base, **changes)
+        except ValueError as exc:
+            records.append(Stages(failure=InvalidParams(str(exc))))
+            continue
         nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
         derived = report = None
         try:
@@ -123,11 +131,9 @@ def _covariance_and_negativity(pending, records) -> None:
         records[index[j]] = Stages(nbar[j], derived[j], report[j], ent, failure)
 
 
-@dataclasses.dataclass(frozen=True)
-class PointResult:
-    """Derived columns of one grid point; None marks an empty CSV cell."""
+class PointResult(typing.NamedTuple):
+    """Derived columns of one grid point in CSV order; None marks an empty cell."""
 
-    error_code: int
     nbar: float | None = None
     abs_c_s: float | None = None
     q1s: float | None = None
@@ -137,6 +143,7 @@ class PointResult:
     sigma: float | None = None
     varrho: float | None = None
     log_negativity: float | None = None
+    error_code: int = ErrorCode.OK
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,18 +164,7 @@ class SweepSpec:
     parallel: int = 1
 
 
-CSV_COLUMNS = (
-    "nbar",
-    "abs_c_s",
-    "q1s",
-    "g_m",
-    "stable",
-    "max_real_part",
-    "sigma",
-    "varrho",
-    "log_negativity",
-    "error_code",
-)
+CSV_COLUMNS = PointResult._fields
 
 
 def evaluate_point(p: SystemParams) -> PointResult:
@@ -177,7 +173,7 @@ def evaluate_point(p: SystemParams) -> PointResult:
     A failing stage flags the row with its error code and leaves every
     later column empty; columns already computed stay filled.
     """
-    return _flatten(run_stages([p])[0])
+    return _flatten(run_stages(p, [{}])[0])
 
 
 def _flatten(stages: Stages) -> PointResult:
@@ -205,24 +201,9 @@ def _flatten(stages: Stages) -> PointResult:
 
 
 def _grid_task(task) -> list[PointResult]:
-    """Worker body: evaluate a contiguous run of grid points in order.
-
-    A point whose overrides fail validation gets code 1; the rest share
-    one run_stages call.
-    """
+    """Worker body: evaluate a contiguous run of grid points in order."""
     base, names, combos = task
-    points = []
-    for combo in combos:
-        try:
-            points.append(dataclasses.replace(base, **dict(zip(names, combo))))
-        except ValueError:
-            points.append(None)
-    records = iter(run_stages([p for p in points if p is not None]))
-    return [
-        PointResult(error_code=ErrorCode.INVALID_PARAMS) if p is None
-        else _flatten(next(records))
-        for p in points
-    ]
+    return [_flatten(s) for s in run_stages(base, [dict(zip(names, c)) for c in combos])]
 
 
 def _validate_spec(spec: SweepSpec) -> None:
@@ -297,10 +278,7 @@ def write_csv(path, axis_names, rows) -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(list(axis_names) + list(CSV_COLUMNS))
             for row in rows:
-                writer.writerow(
-                    [_fmt(v) for v in row.axis_values]
-                    + [_fmt(getattr(row.result, name)) for name in CSV_COLUMNS]
-                )
+                writer.writerow([_fmt(v) for v in (*row.axis_values, *row.result)])
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -382,13 +360,13 @@ def critical_temperature(
     E_N(t_lo) = 0 and NoDeathBelowCeiling when E_N(t_hi) > 0; pipeline
     failures at any probed temperature propagate.
     """
-    if not (0.0 < t_lo < t_hi):
-        raise ValueError(f"need 0 < t_lo < t_hi, got {t_lo}, {t_hi}")
+    if not (0.0 < t_lo < t_hi < math.inf):
+        raise ValueError(f"need 0 < t_lo < t_hi < inf, got {t_lo}, {t_hi}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
     def at(temperatures) -> list[Stages]:
-        return run_stages([dataclasses.replace(p, temperature=t) for t in temperatures])
+        return run_stages(p, [{"temperature": t} for t in temperatures])
 
     def en_at(temperature: float) -> float:
         return at([temperature])[0].checked_en()

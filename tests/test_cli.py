@@ -333,6 +333,11 @@ def test_critical_temp_success_and_guards(tmp_path, capsys):
         ["critical-temp", "--config", str(cfg), "--t-lo", "0.1", "--t-hi", "0.05"],
     )
     assert code == 1 and err.startswith("error:")
+    # 1e400 parses to inf as well; no search starts and no JSON is printed
+    for t_hi in ("inf", "1e400"):
+        code, out, err = run_cli(capsys, ["critical-temp", "--config", str(cfg), "--t-hi", t_hi])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_module_entry_point(tmp_path):

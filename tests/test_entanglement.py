@@ -67,7 +67,7 @@ def test_uncoupled_pair_at_zero_temperature_is_separable():
     # the pipeline lands a few ulps below it
     omega = 2.0 * math.pi * 1e8
     p = SystemParams(temperature=0.0, detuning=0.625 * omega, power=0.03125)
-    (stages,) = sweep.run_stages([p])
+    (stages,) = sweep.run_stages(p, [{}])
     result = stages.entanglement
     assert result.varrho == pytest.approx(0.5, rel=1e-12)
     assert result.log_negativity == 0.0 and not result.entangled

@@ -131,6 +131,10 @@ def test_failed_rows_leave_no_reference_cycles():
             params.reference_params(detuning=-OMEGA, coulomb_lambda=0.95 * OMEGA)
         )
         assert r.error_code == sweep.ErrorCode.UNSTABLE
+        (rejected,) = sweep.run_stages(
+            params.reference_params(), [{"coulomb_lambda": 1.05 * OMEGA}]
+        )
+        assert rejected.failure.code == sweep.ErrorCode.INVALID_PARAMS
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -206,7 +210,9 @@ def test_run_sweep_pool_size_is_bounded(monkeypatch, parallel, rows, cpus, worke
 
     monkeypatch.setattr(sweep, "multiprocessing", types.SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(sweep, "run_stages", lambda points: [sweep.Stages(0.0) for _ in points])
+    monkeypatch.setattr(
+        sweep, "run_stages", lambda base, overrides: [sweep.Stages(0.0) for _ in overrides]
+    )
     axes = (("power", tuple(0.01 * (i + 1) for i in range(rows))),)
     spec = sweep.SweepSpec(params.reference_params(), axes, parallel=parallel)
     got = sweep.run_sweep(spec)
@@ -252,6 +258,45 @@ def test_negativity_is_even_in_coulomb_coupling(
     assert zero.log_negativity == 0.0
 
 
+VALID_BASES = st.builds(
+    lambda lam_frac, w2_frac, detuning_frac, **kw: params.SystemParams(
+        omega_m2=w2_frac * OMEGA,
+        coulomb_lambda=lam_frac * math.sqrt(w2_frac) * OMEGA,
+        detuning=detuning_frac * OMEGA,
+        **kw,
+    ),
+    lam_frac=st.floats(-0.98, 0.98),
+    w2_frac=st.floats(0.5, 1.5),
+    detuning_frac=st.floats(0.3, 2.0),
+    power=st.floats(0.01, 0.1),
+    opa_gain=st.floats(0.0, 4e7),
+    opa_phase=st.floats(-math.pi, math.pi),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(VALID_BASES, st.lists(st.floats(0.0, 0.1), min_size=6, max_size=6))
+def test_negativity_does_not_increase_with_temperature(base, temperatures):
+    # temperature enters only the bath noise, so a hotter bath can only
+    # wash entanglement out
+    records = sweep.run_stages(base, [{"temperature": t} for t in sorted(temperatures)])
+    assume(records[0].failure is None)
+    values = [r.checked_en() for r in records]
+    assert all(b <= a for a, b in zip(values, values[1:])), values
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(VALID_BASES, st.floats(-10.0, 10.0))
+def test_negativity_is_periodic_in_pump_phase(base, phase):
+    low, high = sweep.run_stages(
+        base, [{"opa_phase": phase}, {"opa_phase": phase + TWO_PI}]
+    )
+    codes = [0 if r.failure is None else r.failure.code for r in (low, high)]
+    assert codes[0] == codes[1]
+    if low.failure is None:
+        assert high.checked_en() == pytest.approx(low.checked_en(), abs=1e-9)
+
+
 def same_record(a: sweep.Stages, b: sweep.Stages) -> bool:
     """Field-for-field equality; float reprs round-trip, so equal bits."""
     return (
@@ -261,29 +306,32 @@ def same_record(a: sweep.Stages, b: sweep.Stages) -> bool:
     )
 
 
-# (code, detuning / omega_m, opa_gain range): red-detuned and below
-# threshold (0), on resonance above the pump threshold (2), blue-detuned
-# and unstable (5)
+# (code, coulomb_lambda / omega_m, detuning / omega_m, opa_gain range):
+# red-detuned and below threshold (0), coupling at or past the
+# normal-mode bound sqrt(omega_m1 * omega_m2) (1), on resonance above
+# the pump threshold (2), blue-detuned and unstable (5)
 POINT_KINDS = (
-    (0, (0.3, 2.0), (0.0, 4e7)),
-    (0, (0.3, 2.0), (0.0, 4e7)),
-    (2, (0.0, 0.05), (5e7, 2e8)),
-    (5, (-1.5, -0.3), (0.0, 4e7)),
+    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7)),
+    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7)),
+    (1, (1.0, 1.5), (0.3, 2.0), (0.0, 4e7)),
+    (2, (-0.98, 0.98), (0.0, 0.05), (5e7, 2e8)),
+    (5, (-0.98, 0.98), (-1.5, -0.3), (0.0, 4e7)),
 )
 
 
 @st.composite
 def coded_points(draw):
-    code, (d_lo, d_hi), (g_lo, g_hi) = draw(st.sampled_from(POINT_KINDS))
-    point = params.SystemParams(
-        coulomb_lambda=draw(st.floats(-0.98, 0.98)) * OMEGA,
-        detuning=draw(st.floats(d_lo, d_hi)) * OMEGA,
-        opa_gain=draw(st.floats(g_lo, g_hi)),
-        opa_phase=draw(st.floats(-math.pi, math.pi)),
-        power=draw(st.floats(0.01, 0.1)),
-        temperature=draw(st.floats(0.0, 0.05)),
-    )
-    return code, point
+    """(code, overrides of the default SystemParams) for one point."""
+    code, (l_lo, l_hi), (d_lo, d_hi), (g_lo, g_hi) = draw(st.sampled_from(POINT_KINDS))
+    changes = {
+        "coulomb_lambda": draw(st.floats(l_lo, l_hi)) * OMEGA,
+        "detuning": draw(st.floats(d_lo, d_hi)) * OMEGA,
+        "opa_gain": draw(st.floats(g_lo, g_hi)),
+        "opa_phase": draw(st.floats(-math.pi, math.pi)),
+        "power": draw(st.floats(0.01, 0.1)),
+        "temperature": draw(st.floats(0.0, 0.05)),
+    }
+    return code, changes
 
 
 # sizes drawn uniformly, so batches often fill one stack and spill into more
@@ -295,18 +343,24 @@ BATCHES = st.integers(1, 2 * sweep.STACK_ROWS + 6).flatmap(
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(BATCHES)
 def test_any_batch_gives_each_row_as_alone(coded):
-    codes, points = zip(*coded)
-    batch = sweep.run_stages(points)
-    assert len(batch) == len(points)
-    for code, p, record in zip(codes, points, batch):
+    codes, overrides = zip(*coded)
+    base = params.SystemParams()
+    batch = sweep.run_stages(base, overrides)
+    assert len(batch) == len(overrides)
+    for code, changes, record in zip(codes, overrides, batch):
         assert (0 if record.failure is None else record.failure.code) == code
-        assert same_record(record, sweep.run_stages([p])[0])
+        assert same_record(record, sweep.run_stages(base, [changes])[0])
 
 
 @pytest.mark.parametrize("rows", [1, sweep.STACK_ROWS, sweep.STACK_ROWS + 1])
 def test_run_sweep_rows_do_not_depend_on_workers(rows):
-    axes = (("detuning", tuple(np.linspace(-0.5, 2.0, rows) * OMEGA)),)
-    base = params.SystemParams(coulomb_lambda=0.95 * OMEGA, opa_gain=2e7)
+    # every detuning comes at a valid coupling and at one past the
+    # normal-mode bound, so each chunk mixes code-1 rows with solved ones
+    axes = (
+        ("detuning", tuple(np.linspace(-0.5, 2.0, rows) * OMEGA)),
+        ("coulomb_lambda", (0.95 * OMEGA, 1.05 * OMEGA)),
+    )
+    base = params.SystemParams(opa_gain=2e7)
     serial = sweep.run_sweep(sweep.SweepSpec(base, axes, parallel=1))
     pooled = sweep.run_sweep(sweep.SweepSpec(base, axes, parallel=2))
     assert repr(serial) == repr(pooled)
@@ -463,11 +517,11 @@ def probed_temperatures(monkeypatch, limit=500):
     seen = []
     run = sweep.run_stages
 
-    def counted(points):
-        seen.extend(p.temperature for p in points)
+    def counted(base, overrides):
+        seen.extend(changes["temperature"] for changes in overrides)
         if len(seen) > limit:
             raise AssertionError(f"more than {limit} pipeline runs")
-        return run(points)
+        return run(base, overrides)
 
     monkeypatch.setattr(sweep, "run_stages", counted)
     return seen
@@ -503,6 +557,8 @@ def test_critical_temperature_input_validation():
         sweep.critical_temperature(p, 0.0, 0.064, 1e-5)
     with pytest.raises(ValueError):
         sweep.critical_temperature(p, 0.01, 0.01, 1e-5)
+    with pytest.raises(ValueError):
+        sweep.critical_temperature(p, 1e-3, math.inf, 1e-5)
     with pytest.raises(ValueError):
         sweep.critical_temperature(p, 1e-3, 0.064, 0.0)
     with pytest.raises(ValueError):
