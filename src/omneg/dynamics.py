@@ -164,14 +164,16 @@ def steady_covariance(m, d, omega_scale):
         ms, ds = (marr, darr) if len(solved) == len(out) else (marr[solved], darr[solved])
         n = ms.shape[-1]
         eye = np.eye(n)
-        lhs = smallmat.kron(ms, eye) + smallmat.kron(eye, ms)
-        vec, failures = smallmat.solve(lhs, -ds.reshape(len(solved), n * n))
-        # a failed system's NaN or inf fails the residual test, silently
+        # huge entries overflow the Kronecker sum, the pivot threshold or
+        # ||D||_F, and a failed system's NaN or inf fails the residual
+        # test; all silently
         with np.errstate(all="ignore"):
+            lhs = smallmat.kron(ms, eye) + smallmat.kron(eye, ms)
+            vec, failures = smallmat.solve(lhs, -ds.reshape(len(solved), n * n))
             v = vec.reshape(-1, n, n)
             v = 0.5 * (v + v.transpose(0, 2, 1))
             residual = smallmat.frob_norm(ms @ v + v @ ms.transpose(0, 2, 1) + ds)
-        dnorm = smallmat.frob_norm(ds)
+            dnorm = smallmat.frob_norm(ds)
         for j, i in enumerate(solved):
             if failures[j] is not None:
                 out[i] = failures[j]

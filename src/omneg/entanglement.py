@@ -43,17 +43,21 @@ def log_negativity(v) -> EntanglementResult:
     roundoff band PHYS_EPS_FLOOR below 1/2 counts as separable, with
     E_N = 0. Raises ValueError unless v is 4x4, and NonPhysicalState
     when Sigma^2 - 4 det V is not finite, which also covers a
-    non-finite Sigma or det V, or when either square root argument is
-    negative beyond roundoff.
+    non-finite Sigma or det V, when v breaks the uncertainty relation
+    (a symplectic eigenvalue of v below 1/2, judged from
+    Delta = det A + det B + 2 det C and det V), or when either square
+    root argument is negative beyond roundoff.
     """
     arr = np.asarray(v, dtype=float)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a 4x4 covariance, got {arr.shape}")
-    det1 = smallmat.det(arr[0:2, 0:2])
-    det2 = smallmat.det(arr[2:4, 2:4])
-    det3 = smallmat.det(arr[0:2, 2:4])
+    # Python floats: the same IEEE products, but an overflow is a silent inf
+    q = arr.tolist()
+    det_a = q[0][0] * q[1][1] - q[0][1] * q[1][0]
+    det_b = q[2][2] * q[3][3] - q[2][3] * q[3][2]
+    det_c = q[0][2] * q[1][3] - q[0][3] * q[1][2]
     detv = smallmat.det(arr)
-    sigma = det1 + det2 - 2.0 * det3
+    sigma = det_a + det_b - 2.0 * det_c
     disc = sigma * sigma - 4.0 * detv
     # eps below scales with Sigma^2, so an overflowed Sigma^2 would
     # excuse any excursion; such invariants cannot be classified
@@ -63,6 +67,14 @@ def log_negativity(v) -> EntanglementResult:
             "not finite; the matrix is not a valid two-mode covariance"
         )
     eps = PHYS_EPS_FLOOR * max(1.0, sigma * sigma)
+    # uncertainty relation: both symplectic eigenvalues of V are >= 1/2
+    # exactly when Delta >= 1/2 and 1/4 + 4 det V - Delta >= 0
+    delta = det_a + det_b + 2.0 * det_c
+    if not (delta >= 0.5 - eps and 0.25 + 4.0 * detv - delta >= -eps):
+        raise NonPhysicalState(
+            f"Delta = {delta:.6g}, det V = {detv:.6g}: the matrix breaks the "
+            "uncertainty relation, so it is not a physical two-mode covariance"
+        )
     if not disc >= -eps:
         raise NonPhysicalState(
             f"Sigma^2 - 4 det V = {disc:.6g} is negative beyond roundoff; "

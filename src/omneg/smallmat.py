@@ -83,25 +83,23 @@ def solve(a, b):
 
 
 def det(a) -> float:
-    """Determinant of a 2x2 (cofactor) or 4x4 (pivoted elimination) matrix."""
+    """Determinant of a 4x4 matrix by pivoted elimination; overflow gives inf."""
     arr = np.asarray(a, dtype=float)
-    n = arr.shape[0]
-    if n == 2:
-        return float(arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0])
-    if n != 4:
-        raise ValueError(f"det supports 2x2 and 4x4 only, got {n}x{n}")
+    if arr.shape != (4, 4):
+        raise ValueError(f"det supports 4x4 only, got shape {arr.shape}")
     work = np.array(arr, dtype=float)
     sign = 1.0
-    for k in range(3):
-        p = k + int(np.argmax(np.abs(work[k:, k])))
-        if work[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            work[[k, p]] = work[[p, k]]
-            sign = -sign
-        mult = work[k + 1:, k] / work[k, k]
-        work[k + 1:, k + 1:] -= np.outer(mult, work[k, k + 1:])
-    return float(sign * work[0, 0] * work[1, 1] * work[2, 2] * work[3, 3])
+    with np.errstate(all="ignore"):
+        for k in range(3):
+            p = k + int(np.argmax(np.abs(work[k:, k])))
+            if work[p, k] == 0.0:
+                return 0.0
+            if p != k:
+                work[[k, p]] = work[[p, k]]
+                sign = -sign
+            mult = work[k + 1:, k] / work[k, k]
+            work[k + 1:, k + 1:] -= np.outer(mult, work[k, k + 1:])
+        return float(sign * work[0, 0] * work[1, 1] * work[2, 2] * work[3, 3])
 
 
 def kron(a, b) -> np.ndarray:

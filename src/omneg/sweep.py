@@ -352,13 +352,13 @@ def critical_temperature(
 ) -> float:
     """Temperature where steady-state E_N falls to zero.
 
-    A 32-point coarse scan over [t_lo, t_hi] brackets the last
-    positive-to-zero crossing (its 30 interior points are one
-    run_stages call), then bisection narrows it to width tol
-    or to float resolution, whichever comes first; the bracket midpoint
-    comes back. Raises NoEntanglementAtFloor when
+    A 32-point coarse scan over [t_lo, t_hi], one run_stages call,
+    brackets the last positive-to-zero crossing, then bisection narrows
+    it to width tol or to float resolution, whichever comes first; the
+    bracket midpoint comes back. Raises NoEntanglementAtFloor when
     E_N(t_lo) = 0 and NoDeathBelowCeiling when E_N(t_hi) > 0; pipeline
-    failures at any probed temperature propagate.
+    failures at any probed temperature propagate. The floor is judged
+    first, then the ceiling, then the interior points.
     """
     if not (0.0 < t_lo < t_hi < math.inf):
         raise ValueError(f"need 0 < t_lo < t_hi < inf, got {t_lo}, {t_hi}")
@@ -368,23 +368,18 @@ def critical_temperature(
     def at(temperatures) -> list[Stages]:
         return run_stages(p, [{"temperature": t} for t in temperatures])
 
-    def en_at(temperature: float) -> float:
-        return at([temperature])[0].checked_en()
-
-    en_lo = en_at(t_lo)
-    if en_lo <= 0.0:
+    # linspace returns t_lo and t_hi exactly, so the scan's ends are the guards
+    grid = np.linspace(t_lo, t_hi, _COARSE_SCAN_POINTS)
+    scan = at(grid.tolist())
+    if scan[0].checked_en() <= 0.0:
         raise NoEntanglementAtFloor(
             f"no entanglement at the floor temperature {t_lo} K"
         )
-    en_hi = en_at(t_hi)
-    if en_hi > 0.0:
+    if scan[-1].checked_en() > 0.0:
         raise NoDeathBelowCeiling(
             f"entanglement survives at the ceiling temperature {t_hi} K"
         )
-    # linspace returns t_lo and t_hi exactly, so the guards' values end the scan
-    grid = np.linspace(t_lo, t_hi, _COARSE_SCAN_POINTS)
-    scan = at([float(t) for t in grid[1:-1]])
-    values = [en_lo, *(stages.checked_en() for stages in scan), en_hi]
+    values = [stages.checked_en() for stages in scan]
     # values[0] > 0 >= values[-1], so a crossing exists
     for i in range(_COARSE_SCAN_POINTS - 1):
         if values[i] > 0.0 and values[i + 1] <= 0.0:
@@ -393,7 +388,7 @@ def critical_temperature(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats
-        if en_at(mid) > 0.0:
+        if at([mid])[0].checked_en() > 0.0:
             lo = mid
         else:
             hi = mid

@@ -1,0 +1,78 @@
+"""Valid points, README's library chain and numpy oracles for the tests.
+
+Each oracle reaches its verdict by a route that shares no code with the
+check it tests: eigenvalues of V + i Omega/2 for the uncertainty
+relation, eigenvalues of i Omega V for the symplectic spectrum, and the
+Routh-Hurwitz minors of the characteristic polynomial for stability.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import strategies as st
+
+from omneg import SystemParams, build_diffusion, build_drift, derive, steady_covariance
+
+OMEGA = 2.0 * math.pi * 1e8
+
+# valid parameters around the paper's defaults, with omega_m2 != omega_m1
+VALID_BASES = st.builds(
+    lambda lam_frac, w2_frac, detuning_frac, **kw: SystemParams(
+        omega_m2=w2_frac * OMEGA,
+        coulomb_lambda=lam_frac * math.sqrt(w2_frac) * OMEGA,
+        detuning=detuning_frac * OMEGA,
+        **kw,
+    ),
+    lam_frac=st.floats(-0.98, 0.98),
+    w2_frac=st.floats(0.5, 1.5),
+    detuning_frac=st.floats(0.3, 2.0),
+    power=st.floats(0.01, 0.1),
+    opa_gain=st.floats(0.0, 4e7),
+    opa_phase=st.floats(-math.pi, math.pi),
+)
+
+# symplectic form of the two oscillators in (q1, p1, q2, p2) order
+OMEGA_2 = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+# partial transpose: time reversal of oscillator 2, p2 -> -p2
+PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def readme_chain(p):
+    """(M, D, V) of README's library example at p; a PointFailure propagates."""
+    m = build_drift(p, derive(p).g_m)
+    d = build_diffusion(p)
+    return m, d, steady_covariance(m, d, omega_scale=p.omega_m1)
+
+
+def uncertainty_margin(v4) -> float:
+    """Smallest eigenvalue of V + i Omega/2; negative when V is not a state."""
+    return float(np.linalg.eigvalsh(v4 + 0.5j * OMEGA_2).min())
+
+
+def smallest_symplectic_eigenvalue(v4) -> float:
+    """varrho: the smallest |eigenvalue| of i Omega V~, V~ the partial transpose."""
+    tilde = PARTIAL_TRANSPOSE @ v4 @ PARTIAL_TRANSPOSE
+    return float(np.abs(np.linalg.eigvals(1j * OMEGA_2 @ tilde)).min())
+
+
+def hurwitz_stable(a) -> bool:
+    """Routh-Hurwitz test: every root of det(sI - a) has negative real part.
+
+    The characteristic polynomial s^n + c_1 s^(n-1) + ... + c_n comes
+    from the Faddeev-LeVerrier recursion (traces only, no eigenvalues);
+    the roots are in the open left half-plane exactly when every leading
+    principal minor of its Hurwitz matrix H[i, j] = c_(2j - i + 1) is
+    positive.
+    """
+    n = a.shape[0]
+    coeffs = [1.0]
+    mk = np.zeros_like(a)
+    for k in range(1, n + 1):
+        mk = a @ mk + coeffs[-1] * np.eye(n)
+        coeffs.append(-np.trace(a @ mk) / k)
+    hurwitz = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if 0 <= 2 * j - i + 1 <= n:
+                hurwitz[i, j] = coeffs[2 * j - i + 1]
+    return all(np.linalg.det(hurwitz[:k, :k]) > 0.0 for k in range(1, n + 1))

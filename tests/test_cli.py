@@ -145,7 +145,6 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert lines[0].startswith("detuning,")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "lines, codes",
     [

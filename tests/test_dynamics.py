@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from omneg import dynamics, params, smallmat
 from omneg.errors import PointFailure, SingularSolve, StepTooLarge, UnstableSystem
 
@@ -255,20 +257,44 @@ DRIFTS = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, database=None, deadline=None)
 @given(m=DRIFTS, d=hnp.arrays(float, 6, elements=st.floats(0.0, 1e308)))
 def test_steady_covariance_fails_cleanly_or_meets_residual(m, d):
     # overflow anywhere in the chain must surface as a PointFailure,
-    # never as a crash or a non-finite "solved" V
+    # never as a crash, a numpy warning or a non-finite "solved" V
     dmat = np.diag(d)
     try:
         v = dynamics.steady_covariance(m, dmat, omega_scale=1.0)
     except PointFailure:
         return
     assert np.isfinite(v).all()
-    residual = smallmat.frob_norm(m @ v + v @ m.T + dmat)
-    assert residual <= dynamics.RESIDUAL_RTOL * smallmat.frob_norm(dmat)
+    # this check's own norms may overflow to inf
+    with np.errstate(over="ignore"):
+        residual = smallmat.frob_norm(m @ v + v @ m.T + dmat)
+        assert residual <= dynamics.RESIDUAL_RTOL * smallmat.frob_norm(dmat)
+
+
+def test_routh_hurwitz_agrees_with_stability(fig_sample):
+    # rows within 1e-7 omega_m1 of the imaginary axis are left out: there
+    # the verdict turns on the stability margin, which Routh-Hurwitz lacks
+    checked = {True: 0, False: 0}
+    for p, row in fig_sample:
+        if abs(row.max_real_part) <= 1e-7 * p.omega_m1:
+            continue
+        m = dynamics.build_drift(p, params.derive(p).g_m)
+        assert oracles.hurwitz_stable(m / p.omega_m1) == row.stable, p
+        checked[row.stable] += 1
+    assert checked[True] > 500 and checked[False] > 10, checked
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(oracles.VALID_BASES, st.floats(0.0, 0.1))
+def test_readme_chain_covariance_is_a_solved_covariance(base, temperature):
+    m, d, v = oracles.readme_chain(dataclasses.replace(base, temperature=temperature))
+    assert np.array_equal(v, v.T)
+    assert np.linalg.eigvalsh(v).min() > 0.0
+    residual = np.linalg.norm(m @ v + v @ m.T + d)
+    assert residual <= dynamics.RESIDUAL_RTOL * np.linalg.norm(d)
 
 
 def test_evolve_zero_time_returns_copy():

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import pathlib
 import re
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from omneg import entanglement, sweep
+import oracles
+from omneg import cli, dynamics, entanglement, params, smallmat, sweep
 from omneg.params import SystemParams
 from omneg.errors import NonPhysicalState
 
@@ -54,12 +57,13 @@ def test_two_mode_squeezed_vacuum(r):
 
 def test_roundoff_band_below_half_is_separable():
     # a product state diag(1/2, 1/2, x, x) has varrho = x; a few ulps
-    # below 1/2 is roundoff, a relative 1e-11 below it is entanglement
+    # below 1/2 is roundoff, but a relative 1e-11 below it squeezes
+    # oscillator 2 below the vacuum, which no state does
     band = entanglement.log_negativity(np.diag([0.5, 0.5, 0.5 - 5e-16, 0.5 - 5e-16]))
     assert band.varrho < 0.5
     assert band.log_negativity == 0.0 and not band.entangled
-    outside = entanglement.log_negativity(np.diag([0.5, 0.5, 0.5 - 5e-12, 0.5 - 5e-12]))
-    assert outside.entangled and outside.log_negativity > 0.0
+    with pytest.raises(NonPhysicalState):
+        entanglement.log_negativity(np.diag([0.5, 0.5, 0.5 - 5e-12, 0.5 - 5e-12]))
 
 
 def test_uncoupled_pair_at_zero_temperature_is_separable():
@@ -117,29 +121,42 @@ def test_negative_inner_value_raises():
 
 
 def test_tiny_negative_discriminant_is_clamped():
-    # rounding pushes the discriminant a few ulps below zero here; the
-    # clamp must absorb that instead of raising
-    e = 0.1
-    v4 = np.zeros((4, 4))
-    v4[:2, :2] = rot(0.1) @ (0.5 * np.eye(2)) @ rot(0.1).T
-    v4[2:, 2:] = rot(1.05) @ (0.5 * np.eye(2)) @ rot(1.05).T
-    v4[:2, 2:] = rot(0.1) @ (e * np.eye(2)) @ rot(1.05).T
-    v4[2:, :2] = v4[:2, 2:].T
+    # [[I, 0.3 I], [0.3 I, I]] under local rotations 0 and 0.625 has
+    # Sigma^2 = 4 det V exactly; rounding leaves the discriminant a few
+    # ulps below zero, and the clamp must absorb that instead of raising
+    s = np.zeros((4, 4))
+    s[:2, :2] = rot(0.0)
+    s[2:, 2:] = rot(0.625)
+    v4 = s @ np.block([[np.eye(2), 0.3 * np.eye(2)], [0.3 * np.eye(2), np.eye(2)]]) @ s.T
     res = entanglement.log_negativity(v4)
-    assert math.isfinite(res.log_negativity)
-    assert res.log_negativity > 0.0
+    assert res.sigma * res.sigma - 4.0 * smallmat.det(v4) < 0.0
+    assert res.varrho == pytest.approx(math.sqrt(0.91), rel=1e-12)
+    assert res.log_negativity == 0.0 and not res.entangled
 
 
-def test_zero_varrho_maps_to_infinity():
+def test_zero_varrho_input_is_unphysical():
+    # perfect EPR correlations between vacuum-sized marginals would give
+    # varrho = 0, but Delta = 0 < 1/2: no state has this covariance
     v4 = 0.5 * np.eye(4)
     v4[:2, 2:] = v4[2:, :2] = 0.5 * np.diag([1.0, -1.0])
-    res = entanglement.log_negativity(v4)
-    assert res.varrho == 0.0
-    assert res.log_negativity == math.inf
-    assert res.entangled
+    assert oracles.uncertainty_margin(v4) < 0.0
+    with pytest.raises(NonPhysicalState):
+        entanglement.log_negativity(v4)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_state_below_zero_point_motion_is_unphysical(capsys):
+    # at T = 0 the white momentum noise under-supplies the zero-point
+    # motion of the Coulomb-stiffened normal mode: V + i Omega/2 has a
+    # negative eigenvalue, which the invariants must catch (code 7)
+    point = ["coulomb_lambda_in_omega_m=0.5", "detuning_in_omega_m=2",
+             "power=0.0625", "temperature=0"]
+    assert cli.main(["point", *(a for kv in point for a in ("--set", kv))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["name"] == "NonPhysicalState"
+    _, _, v = oracles.readme_chain(SystemParams(**out["params"]))
+    assert oracles.uncertainty_margin(v[:4, :4]) == pytest.approx(-0.0093, abs=5e-4)
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(
     upper=hnp.arrays(
@@ -160,6 +177,36 @@ def test_log_negativity_fails_cleanly_or_is_well_defined(upper):
         return
     assert math.isfinite(res.sigma) and math.isfinite(res.varrho)
     assert res.log_negativity >= 0.0
+
+
+def test_symplectic_spectrum_oracle_matches_varrho(fig_sample):
+    solved = [(p, row) for p, row in fig_sample if row.error_code == 0]
+    ms, ds, scales = [], [], []
+    for p, _ in solved:
+        ms.append(dynamics.build_drift(p, params.derive(p).g_m))
+        ds.append(dynamics.build_diffusion(p))
+        scales.append(p.omega_m1)
+    covariances = dynamics.steady_covariance(np.array(ms), np.array(ds), np.array(scales))
+    assert len(solved) > 500
+    for (p, row), v in zip(solved, covariances):
+        oracle = oracles.smallest_symplectic_eigenvalue(v[:4, :4])
+        assert oracle == pytest.approx(row.varrho, rel=1e-10), p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(oracles.VALID_BASES, st.floats(0.0, 0.1))
+def test_swapping_oscillators_keeps_negativity(base, temperature):
+    _, _, v = oracles.readme_chain(dataclasses.replace(base, temperature=temperature))
+    swap = [2, 3, 0, 1]
+    v4 = v[:4, :4]
+    try:
+        res = entanglement.log_negativity(v4)
+    except NonPhysicalState:
+        with pytest.raises(NonPhysicalState):
+            entanglement.log_negativity(v4[swap][:, swap])
+        return
+    swapped = entanglement.log_negativity(v4[swap][:, swap])
+    assert math.isclose(swapped.log_negativity, res.log_negativity, rel_tol=1e-12)
 
 
 def test_readme_library_example_runs(capsys):
