@@ -14,7 +14,7 @@ sweep records, the error codes and the exceptions; every other name
 is imported from its submodule.
 """
 
-from .dynamics import build_diffusion, build_drift, evolve_covariance, steady_covariance
+from .dynamics import build_diffusion, build_drift, steady_covariance
 from .entanglement import log_negativity
 from .errors import (
     ConfigError,
@@ -28,7 +28,6 @@ from .errors import (
     OmnegError,
     PointFailure,
     SingularSolve,
-    StepTooLarge,
     ThresholdSingularity,
     UnstableSystem,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "build_drift",
     "build_diffusion",
     "steady_covariance",
-    "evolve_covariance",
     "log_negativity",
     "SweepSpec",
     "run_sweep",
@@ -62,7 +60,6 @@ __all__ = [
     "SingularSolve",
     "EigenFailure",
     "NonPhysicalState",
-    "StepTooLarge",
     "NoEntanglementAtFloor",
     "NoDeathBelowCeiling",
 ]

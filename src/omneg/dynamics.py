@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import smallmat
-from .errors import PointFailure, SingularSolve, StepTooLarge, UnstableSystem
+from .errors import PointFailure, SingularSolve, UnstableSystem
 from .params import thermal_occupation
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "StabilityReport",
     "stability",
     "steady_covariance",
-    "evolve_covariance",
 ]
 
 # stability margin is STABILITY_EPS_FRACTION * omega_scale; must stay well
@@ -189,55 +188,3 @@ def steady_covariance(m, d, omega_scale):
             raise out[0]
         return out[0]
     return out
-
-
-def evolve_covariance(m, d, v0, t_end: float, dt: float) -> np.ndarray:
-    """Integrate dV/dt = M V + V M^T + D from V(0)=v0 to V(t_end).
-
-    Classic fourth-order Runge-Kutta with fixed step h = t_end/N,
-    N = ceil(t_end/dt). For this linear ODE every RK4 step applies one
-    fixed affine map vec(V) -> A vec(V) + b, so the N-step composition
-    is the N-th matrix power of that map in augmented form instead of N
-    literal steps; it is the same map the literal loop would apply. dt
-    must not exceed 0.1/||M||_2 (raises StepTooLarge).
-    """
-    marr = np.asarray(m, dtype=float)
-    darr = np.asarray(d, dtype=float)
-    varr = np.asarray(v0, dtype=float)
-    n = marr.shape[0]
-    if marr.shape != (n, n) or darr.shape != (n, n) or varr.shape != (n, n):
-        raise ValueError("m, d, v0 must be square matrices of one size")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end == 0.0:
-        return np.array(varr, copy=True)
-    mnorm = float(np.linalg.norm(marr, 2))
-    if mnorm > 0.0 and dt > 0.1 / mnorm:
-        raise StepTooLarge(
-            f"dt={dt:.3e} exceeds the 0.1/||M||_2 = {0.1 / mnorm:.3e} cap"
-        )
-    nsteps = max(1, math.ceil(t_end / dt))
-    h = t_end / nsteps
-
-    eye = np.eye(n * n)
-    eyen = np.eye(n)
-    s = smallmat.kron(marr, eyen) + smallmat.kron(eyen, marr)
-    hs = h * s
-    # one RK4 step: vec(V) -> P(hS) vec(V) + h*Q(hS) vec(D)
-    # P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, Q(z) = 1 + z/2 + z^2/6 + z^3/24
-    step_a = eye + hs @ (eye + (hs / 2.0) @ (eye + (hs / 3.0) @ (eye + hs / 4.0)))
-    dvec = darr.ravel()
-    step_b = h * (dvec + hs @ (dvec / 2.0 + hs @ (dvec / 6.0 + hs @ (dvec / 24.0))))
-    # symmetrize after every step so roundoff cannot skew V; row-major
-    # vec(V^T) is vec(V) permuted by (i, j) -> (j, i)
-    transpose = np.arange(n * n).reshape(n, n).T.ravel()
-    # the step as one augmented matrix [[A, b], [0, 1]] acting on
-    # (vec(V), 1), so nsteps steps are its nsteps-th power
-    step = np.eye(n * n + 1)
-    step[:-1, :-1] = 0.5 * (step_a + step_a[transpose])
-    step[:-1, -1] = 0.5 * (step_b + step_b[transpose])
-    total = np.linalg.matrix_power(step, nsteps)
-    out = (total[:-1, :-1] @ varr.ravel() + total[:-1, -1]).reshape(n, n)
-    return 0.5 * (out + out.T)

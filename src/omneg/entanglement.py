@@ -16,9 +16,9 @@ __all__ = [
     "log_negativity",
 ]
 
-# negative excursions larger than eps = PHYS_EPS_FLOOR * max(1, sigma^2)
-# mean the covariance is not a physical Gaussian state; smaller ones are
-# roundoff and get clamped to zero
+# roundoff bands: the uncertainty relation may fail by
+# eps = PHYS_EPS_FLOOR * max(1, sigma^2), and varrho may sit a relative
+# PHYS_EPS_FLOOR below 1/2, before the state is unphysical or entangled
 PHYS_EPS_FLOOR = 1e-12
 
 
@@ -42,11 +42,13 @@ def log_negativity(v) -> EntanglementResult:
     when varrho < 1/2 (vacuum variance); a varrho within the relative
     roundoff band PHYS_EPS_FLOOR below 1/2 counts as separable, with
     E_N = 0. Raises ValueError unless v is 4x4, and NonPhysicalState
-    when Sigma^2 - 4 det V is not finite, which also covers a
-    non-finite Sigma or det V, when v breaks the uncertainty relation
-    (a symplectic eigenvalue of v below 1/2, judged from
-    Delta = det A + det B + 2 det C and det V), or when either square
-    root argument is negative beyond roundoff.
+    unless v is a bona fide covariance (Simon, Mukunda and Dutta,
+    PRA 49, 1567 (1994)): Sigma^2 - 4 det V must be finite, which also
+    covers Sigma and det V; v must be positive definite, judged by its
+    leading principal minors; and both symplectic eigenvalues of v must
+    be at least 1/2, judged from Delta = det A + det B + 2 det C and
+    det V. For V > 0 the partial transpose is positive definite too, so
+    a negative square root argument is roundoff and is clamped to zero.
     """
     arr = np.asarray(v, dtype=float)
     if arr.shape != (4, 4):
@@ -66,6 +68,17 @@ def log_negativity(v) -> EntanglementResult:
             f"Sigma = {sigma:.6g}, det V = {detv:.6g}: Sigma^2 - 4 det V is "
             "not finite; the matrix is not a valid two-mode covariance"
         )
+    # Sylvester's criterion: V > 0 exactly when its leading principal
+    # minors are positive
+    minor3 = (q[0][0] * (q[1][1] * q[2][2] - q[1][2] * q[2][1])
+              - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
+              + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0]))
+    if not (q[0][0] > 0.0 and det_a > 0.0 and minor3 > 0.0 and detv > 0.0):
+        raise NonPhysicalState(
+            f"leading principal minors {q[0][0]:.6g}, {det_a:.6g}, "
+            f"{minor3:.6g}, {detv:.6g}: the matrix is not positive definite, "
+            "so it is not a physical two-mode covariance"
+        )
     eps = PHYS_EPS_FLOOR * max(1.0, sigma * sigma)
     # uncertainty relation: both symplectic eigenvalues of V are >= 1/2
     # exactly when Delta >= 1/2 and 1/4 + 4 det V - Delta >= 0
@@ -75,19 +88,8 @@ def log_negativity(v) -> EntanglementResult:
             f"Delta = {delta:.6g}, det V = {detv:.6g}: the matrix breaks the "
             "uncertainty relation, so it is not a physical two-mode covariance"
         )
-    if not disc >= -eps:
-        raise NonPhysicalState(
-            f"Sigma^2 - 4 det V = {disc:.6g} is negative beyond roundoff; "
-            "the matrix is not a valid two-mode covariance"
-        )
-    disc = max(disc, 0.0)
-    inner = 0.5 * (sigma - math.sqrt(disc))
-    if not inner >= -eps:
-        raise NonPhysicalState(
-            f"squared symplectic eigenvalue {inner:.6g} is negative beyond "
-            "roundoff; the matrix is not a valid two-mode covariance"
-        )
-    inner = max(inner, 0.0)
+    # Sigma^2 - 4 det V = (nu~+^2 - nu~-^2)^2 and inner = nu~-^2 > 0
+    inner = max(0.5 * (sigma - math.sqrt(max(disc, 0.0))), 0.0)
     varrho = math.sqrt(inner)
     # a product state on the boundary (a vacuum mode at T = 0) can land a
     # few ulps below 1/2; that band is roundoff, not entanglement

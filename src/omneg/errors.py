@@ -14,7 +14,6 @@ __all__ = [
     "SingularSolve",
     "EigenFailure",
     "NonPhysicalState",
-    "StepTooLarge",
     "NoEntanglementAtFloor",
     "NoDeathBelowCeiling",
 ]
@@ -99,10 +98,6 @@ class NonPhysicalState(PointFailure):
     """The reduced matrix is not a valid two-mode covariance matrix."""
 
     code = ErrorCode.NONPHYSICAL_STATE
-
-
-class StepTooLarge(OmnegError):
-    """Integrator step exceeds the accuracy bound dt <= 0.1 / ||M||."""
 
 
 class NoEntanglementAtFloor(OmnegError):

@@ -25,7 +25,6 @@ __all__ = [
     "reference_params",
     "DerivedQuantities",
     "thermal_occupation",
-    "coulomb_strength",
     "derive",
 ]
 
@@ -37,7 +36,6 @@ class PhysicalConstants:
     hbar: float = 1.054571817e-34
     kB: float = 1.380649e-23
     c_light: float = 299792458.0
-    k_e: float = 8.9875517923e9
 
 
 CONSTANTS = PhysicalConstants()
@@ -134,17 +132,6 @@ def _ieee_div(num: float, den: float) -> float:
         return num / den
     except ZeroDivisionError:
         return math.nan if num == 0.0 else math.inf
-
-
-def coulomb_strength(c1: float, u1: float, c2: float, u2: float, d0: float) -> float:
-    """Coupling rate of two charged oscillators a distance d0 apart.
-
-    c1, c2 are capacitances (F), u1, u2 bias voltages (V); the rate is
-    2*k_e*c1*u1*c2*u2 / (hbar*d0^3) in rad/s.
-    """
-    if d0 <= 0.0:
-        raise ValueError(f"d0 must be positive, got {d0}")
-    return 2.0 * CONSTANTS.k_e * (c1 * u1) * (c2 * u2) / (CONSTANTS.hbar * d0 ** 3)
 
 
 @dataclasses.dataclass(frozen=True)

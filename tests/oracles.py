@@ -2,8 +2,9 @@
 
 Each oracle reaches its verdict by a route that shares no code with the
 check it tests: eigenvalues of V + i Omega/2 for the uncertainty
-relation, eigenvalues of i Omega V for the symplectic spectrum, and the
-Routh-Hurwitz minors of the characteristic polynomial for stability.
+relation, eigenvalues of i Omega V for the symplectic spectrum, the
+Routh-Hurwitz minors of the characteristic polynomial for stability,
+and the time integral of dV/dt for the steady Lyapunov solve.
 """
 
 import math
@@ -76,3 +77,40 @@ def hurwitz_stable(a) -> bool:
             if 0 <= 2 * j - i + 1 <= n:
                 hurwitz[i, j] = coeffs[2 * j - i + 1]
     return all(np.linalg.det(hurwitz[:k, :k]) > 0.0 for k in range(1, n + 1))
+
+
+def evolve_covariance(m, d, v0, t_end: float, dt: float) -> np.ndarray:
+    """Integrate dV/dt = M V + V M^T + D from V(0)=v0 to V(t_end).
+
+    Classic fourth-order Runge-Kutta with fixed step h = t_end/N,
+    N = ceil(t_end/dt), for square m, d, v0 of one size, t_end > 0 and
+    dt <= 0.1/||M||_2. For this linear ODE every RK4 step applies one
+    fixed affine map vec(V) -> A vec(V) + b, so the N-step composition
+    is the N-th matrix power of that map in augmented form instead of N
+    literal steps; it is the same map the literal loop would apply.
+    """
+    m, d, v0 = (np.asarray(x, dtype=float) for x in (m, d, v0))
+    assert dt <= 0.1 / np.linalg.norm(m, 2), "RK4 step too large"
+    n = m.shape[0]
+    nsteps = max(1, math.ceil(t_end / dt))
+    h = t_end / nsteps
+
+    eye = np.eye(n * n)
+    eyen = np.eye(n)
+    hs = h * (np.kron(m, eyen) + np.kron(eyen, m))
+    # one RK4 step: vec(V) -> P(hS) vec(V) + h*Q(hS) vec(D)
+    # P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, Q(z) = 1 + z/2 + z^2/6 + z^3/24
+    step_a = eye + hs @ (eye + (hs / 2.0) @ (eye + (hs / 3.0) @ (eye + hs / 4.0)))
+    dvec = d.ravel()
+    step_b = h * (dvec + hs @ (dvec / 2.0 + hs @ (dvec / 6.0 + hs @ (dvec / 24.0))))
+    # symmetrize after every step so roundoff cannot skew V; row-major
+    # vec(V^T) is vec(V) permuted by (i, j) -> (j, i)
+    transpose = np.arange(n * n).reshape(n, n).T.ravel()
+    # the step as one augmented matrix [[A, b], [0, 1]] acting on
+    # (vec(V), 1), so nsteps steps are its nsteps-th power
+    step = np.eye(n * n + 1)
+    step[:-1, :-1] = 0.5 * (step_a + step_a[transpose])
+    step[:-1, -1] = 0.5 * (step_b + step_b[transpose])
+    total = np.linalg.matrix_power(step, nsteps)
+    out = (total[:-1, :-1] @ v0.ravel() + total[:-1, -1]).reshape(n, n)
+    return 0.5 * (out + out.T)

