@@ -9,8 +9,8 @@ row), grid sweeps, the ``point`` command and ``critical_temperature``
 all read that record; cli fronts everything from the command line. All frequencies and rates are angular (rad/s);
 vacuum variance is 1/2.
 
-The package root exports the library entry points, the parameter and
-sweep records, the error codes and the exceptions; every other name
+The package root exports the library entry points, the parameter
+record, the error codes and the exceptions; every other name
 is imported from its submodule.
 """
 
@@ -32,7 +32,7 @@ from .errors import (
     UnstableSystem,
 )
 from .params import SystemParams, derive, reference_params
-from .sweep import SweepSpec, critical_temperature, figure_spec, run_sweep
+from .sweep import critical_temperature, figure_spec, run_sweep
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "build_diffusion",
     "steady_covariance",
     "log_negativity",
-    "SweepSpec",
     "run_sweep",
     "figure_spec",
     "critical_temperature",

@@ -63,13 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", required=True, help="config file")
     swp.add_argument("--out", required=True, help="output CSV path")
     swp.add_argument("--parallel", type=int, help=_PARALLEL_HELP)
-    swp.set_defaults(func=_cmd_sweep)
+    swp.set_defaults(func=_cmd_grid)
 
     for name in sweep.FIGURE_NAMES:
         fig = sub.add_parser(name, help=f"emit the {name} curve family as CSV")
         fig.add_argument("--out", required=True, help="output CSV path")
         fig.add_argument("--parallel", type=int, help=_PARALLEL_HELP)
-        fig.set_defaults(func=_cmd_fig, which=name)
+        fig.set_defaults(func=_cmd_grid)
 
     crit = sub.add_parser(
         "critical-temp", help="locate the entanglement death temperature"
@@ -140,22 +140,12 @@ def _cmd_point(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    base, axes = config.load_config(args.config)
-    spec = sweep.SweepSpec(
-        base=base,
-        axes=tuple(axes),
-        output_path=args.out,
-        parallel=_workers(args),
-    )
-    sweep.run_sweep(spec)
-    return 0
-
-
-def _cmd_fig(args) -> int:
-    sweep.run_sweep(
-        sweep.figure_spec(args.which, parallel=_workers(args), output_path=args.out)
-    )
+def _cmd_grid(args) -> int:
+    if args.command == "sweep":
+        base, axes = config.load_config(args.config)
+    else:
+        base, axes = sweep.figure_spec(args.command)
+    sweep.write_csv(args.out, axes, sweep.run_sweep(base, axes, _workers(args)))
     return 0
 
 

@@ -108,10 +108,15 @@ def reference_params(**overrides) -> SystemParams:
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
-    """Bose occupation 1/(exp(hbar*omega/kB*T) - 1); zero at T=0."""
-    if omega <= 0.0:
+    """Bose occupation 1/(exp(hbar*omega/kB*T) - 1); zero at T=0.
+
+    When hbar*omega/(kB*T) underflows to zero the occupation is inf, the
+    IEEE limit, and the point fails at a later stage guard. NaN inputs
+    are rejected with the other invalid ones.
+    """
+    if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     kt = CONSTANTS.kB * temperature
     if kt == 0.0:  # T = 0, or kB*T underflows
@@ -119,7 +124,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = CONSTANTS.hbar * omega / kt
     if x > 700.0:
         return 0.0
-    return 1.0 / math.expm1(x)
+    return _ieee_div(1.0, math.expm1(x))
 
 
 def _ieee_div(num: float, den: float) -> float:

@@ -28,7 +28,7 @@ def cavity_amplitude(
     clear THRESHOLD_RTOL * kappa^2: the linear steady state diverges
     there and no amplitude exists.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     denom = kappa * kappa + detuning * detuning - 4.0 * opa_gain * opa_gain
     if denom <= THRESHOLD_RTOL * kappa * kappa:

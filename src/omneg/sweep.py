@@ -32,8 +32,6 @@ __all__ = [
     "STACK_ROWS",
     "run_stages",
     "PointResult",
-    "SweepRow",
-    "SweepSpec",
     "CSV_COLUMNS",
     "evaluate_point",
     "run_sweep",
@@ -146,24 +144,6 @@ class PointResult(typing.NamedTuple):
     error_code: int = ErrorCode.OK
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
-    """One grid point: swept axis values plus the evaluated columns."""
-
-    axis_values: tuple[float, ...]
-    result: PointResult
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepSpec:
-    """A grid to evaluate: base point, ordered axes, output, workers."""
-
-    base: SystemParams
-    axes: tuple[tuple[str, tuple[float, ...]], ...]
-    output_path: str | None = None
-    parallel: int = 1
-
-
 CSV_COLUMNS = PointResult._fields
 
 
@@ -206,52 +186,41 @@ def _grid_task(task) -> list[PointResult]:
     return [_flatten(s) for s in run_stages(base, [dict(zip(names, c)) for c in combos])]
 
 
-def _validate_spec(spec: SweepSpec) -> None:
-    for name, values in spec.axes:
+def _validate_grid(axes, parallel) -> None:
+    for name, values in axes:
         if name not in PARAM_NAMES:
             raise ConfigError(f"unknown axis parameter {name!r}")
         if not values:
             raise ConfigError(f"axis {name!r} has no values")
-    size = math.prod(len(values) for _, values in spec.axes)
+    size = math.prod(len(values) for _, values in axes)
     if size > MAX_GRID_POINTS:
         raise ConfigError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
-    if not isinstance(spec.parallel, int) or spec.parallel < 1:
-        raise ConfigError(f"parallel must be an integer >= 1, got {spec.parallel!r}")
+    if not isinstance(parallel, int) or parallel < 1:
+        raise ConfigError(f"parallel must be an integer >= 1, got {parallel!r}")
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the grid in lexicographic axis order and return its rows.
+def run_sweep(base: SystemParams, axes, parallel: int = 1) -> list[PointResult]:
+    """Evaluate the grid of axes [(name, values), ...] around base, one result per point.
 
-    The row order is the itertools.product order of the axes (first
+    The results come in the itertools.product order of the axes (first
     axis slowest) regardless of worker count, and each point is a pure
     function of its parameters, so reruns with different parallelism
-    produce identical tables. The pool gets min(parallel, rows, CPUs)
-    workers and is skipped when that is 1. Rows go to run_stages in
+    produce identical tables. The pool gets min(parallel, points, CPUs)
+    workers and is skipped when that is 1. Points go to run_stages in
     contiguous chunks of at most STACK_ROWS, at least one per worker.
-    With output_path set the table is also written as CSV; I/O failures
-    propagate as OSError.
     """
-    _validate_spec(spec)
-    names = tuple(name for name, _ in spec.axes)
-    combos = list(itertools.product(*(values for _, values in spec.axes)))
-    workers = min(spec.parallel, len(combos), os.cpu_count() or 1)
+    _validate_grid(axes, parallel)
+    names = tuple(name for name, _ in axes)
+    combos = list(itertools.product(*(values for _, values in axes)))
+    workers = min(parallel, len(combos), os.cpu_count() or 1)
     size = min(STACK_ROWS, -(-len(combos) // workers))
-    tasks = [
-        (spec.base, names, combos[i:i + size]) for i in range(0, len(combos), size)
-    ]
+    tasks = [(base, names, combos[i:i + size]) for i in range(0, len(combos), size)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             chunks = pool.map(_grid_task, tasks)
     else:
         chunks = [_grid_task(t) for t in tasks]
-    results = itertools.chain.from_iterable(chunks)
-    rows = [
-        SweepRow(axis_values=tuple(combo), result=res)
-        for combo, res in zip(combos, results)
-    ]
-    if spec.output_path is not None:
-        write_csv(spec.output_path, names, rows)
-    return rows
+    return list(itertools.chain.from_iterable(chunks))
 
 
 def _fmt(value) -> str:
@@ -264,11 +233,13 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(path, axis_names, rows) -> None:
-    """Write rows as RFC-4180 CSV: header, 17-digit floats, \\n endings.
+def write_csv(path, axes, results) -> None:
+    """Write a grid's results as RFC-4180 CSV: header, 17-digit floats, \\n endings.
 
-    The table is written beside the target and renamed over it, so a
-    failed write leaves an existing file untouched and no partial file.
+    The header is the axis names, then CSV_COLUMNS; each row is one grid
+    point's axis values in run_sweep's order, then its result. The table
+    is written beside the target and renamed over it, so a failed write
+    leaves an existing file untouched and no partial file.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     # 0o666 under the umask: the mode a plain open(path, "w") gives
@@ -276,9 +247,10 @@ def write_csv(path, axis_names, rows) -> None:
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(list(axis_names) + list(CSV_COLUMNS))
-            for row in rows:
-                writer.writerow([_fmt(v) for v in (*row.axis_values, *row.result)])
+            writer.writerow([name for name, _ in axes] + list(CSV_COLUMNS))
+            combos = itertools.product(*(values for _, values in axes))
+            for combo, result in zip(combos, results):
+                writer.writerow([_fmt(v) for v in (*combo, *result)])
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -330,18 +302,15 @@ FIGURE_CONFIGS = {
 FIGURE_NAMES = tuple(FIGURE_CONFIGS)
 
 
-def figure_spec(which: str, parallel: int = 1, output_path=None) -> SweepSpec:
-    """SweepSpec for one of the published curve families.
+def figure_spec(which: str):
+    """(base, axes) of one of the published curve families.
 
     The grid is ``FIGURE_CONFIGS[which]`` read by ``parse_config``, so
     ``omneg sweep`` on that text writes the same table.
     """
     if which not in FIGURE_CONFIGS:
         raise ConfigError(f"unknown figure {which!r}; expected one of {FIGURE_NAMES}")
-    base, axes = parse_config(FIGURE_CONFIGS[which])
-    return SweepSpec(
-        base=base, axes=tuple(axes), output_path=output_path, parallel=parallel
-    )
+    return parse_config(FIGURE_CONFIGS[which])
 
 
 _COARSE_SCAN_POINTS = 32

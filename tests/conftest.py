@@ -1,60 +1,52 @@
 """Figure datasets shared across test modules.
 
 Each dataset is built once per session: the acceptance criteria and
-the reference drift gate read the same rows.
+the reference drift gate read the same results. Each is
+(base, axes, results), as ``sweep.figure_spec`` and ``run_sweep`` give them.
 """
 
-import dataclasses
 import time
 
 import pytest
 
+import oracles
 from omneg import sweep
+
+
+def _figure(which):
+    base, axes = sweep.figure_spec(which)
+    return base, axes, sweep.run_sweep(base, axes)
 
 
 @pytest.fixture(scope="session")
 def fig2_data():
-    spec = sweep.figure_spec("fig2", parallel=1)
+    """fig2's (base, axes, results) and the seconds its sweep took."""
     start = time.perf_counter()
-    rows = sweep.run_sweep(spec)
-    elapsed = time.perf_counter() - start
-    return spec, rows, elapsed
+    data = _figure("fig2")
+    return data, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
-def fig3_rows():
-    return sweep.run_sweep(sweep.figure_spec("fig3", parallel=1))
+def fig3_data():
+    return _figure("fig3")
 
 
 @pytest.fixture(scope="session")
-def fig4_rows():
-    return sweep.run_sweep(sweep.figure_spec("fig4", parallel=1))
+def fig4_data():
+    return _figure("fig4")
 
 
 @pytest.fixture(scope="session")
 def fig5_data():
-    out = {}
-    for which in ("fig5a", "fig5b"):
-        spec = sweep.figure_spec(which, parallel=1)
-        out[which] = (spec, sweep.run_sweep(spec))
-    return out
+    return {which: _figure(which) for which in ("fig5a", "fig5b")}
 
 
 @pytest.fixture(scope="session")
-def fig_sample(fig2_data, fig3_rows, fig4_rows, fig5_data):
-    """(point, row) for every 7th fig2-fig5a row that reached the stability stage."""
-    datasets = {
-        "fig2": fig2_data[1],
-        "fig3": fig3_rows,
-        "fig4": fig4_rows,
-        "fig5a": fig5_data["fig5a"][1],
-    }
+def fig_sample(fig2_data, fig3_data, fig4_data, fig5_data):
+    """(point, result) for every 7th fig2-fig5a point that reached the stability stage."""
     sample = []
-    for which, rows in datasets.items():
-        spec = sweep.figure_spec(which)
-        names = [name for name, _ in spec.axes]
-        for row in rows[::7]:
-            if row.result.stable is not None:
-                point = dataclasses.replace(spec.base, **dict(zip(names, row.axis_values)))
-                sample.append((point, row.result))
+    for data in (fig2_data[0], fig3_data, fig4_data, fig5_data["fig5a"]):
+        for point, result in oracles.grid_points(*data)[::7]:
+            if result.stable is not None:
+                sample.append((point, result))
     return sample

@@ -1,4 +1,4 @@
-"""Valid points, README's library chain and numpy oracles for the tests.
+"""Valid points, grid points, README's library chain and numpy oracles for the tests.
 
 Each oracle reaches its verdict by a route that shares no code with the
 check it tests: eigenvalues of V + i Omega/2 for the uncertainty
@@ -7,6 +7,8 @@ Routh-Hurwitz minors of the characteristic polynomial for stability,
 and the time integral of dV/dt for the steady Lyapunov solve.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +33,17 @@ VALID_BASES = st.builds(
     opa_gain=st.floats(0.0, 4e7),
     opa_phase=st.floats(-math.pi, math.pi),
 )
+
+
+def grid_points(base, axes, results):
+    """(SystemParams, result) for each point of a run_sweep grid, in its order."""
+    names = [name for name, _ in axes]
+    combos = itertools.product(*(values for _, values in axes))
+    return [
+        (dataclasses.replace(base, **dict(zip(names, combo))), result)
+        for combo, result in zip(combos, results, strict=True)
+    ]
+
 
 # symplectic form of the two oscillators in (q1, p1, q2, p2) order
 OMEGA_2 = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])

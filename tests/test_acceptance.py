@@ -29,22 +29,21 @@ def _family_rows(rows, n_family: int, n_inner: int):
     return [rows[i * n_inner : (i + 1) * n_inner] for i in range(n_family)]
 
 
-def _en(row) -> float:
-    value = row.result.log_negativity
-    assert value is not None, f"row {row.axis_values} has no entanglement value"
+def _en(result) -> float:
+    value = result.log_negativity
+    assert value is not None, f"{result} has no entanglement value"
     return value
 
 
 def _width(chunk) -> int:
-    return sum(1 for row in chunk if _en(row) > 0.0)
+    return sum(1 for result in chunk if _en(result) > 0.0)
 
 
-def _rebuild(base, axis_names, axis_values):
-    point = dataclasses.replace(base, **dict(zip(axis_names, axis_values)))
+def _rebuild(point):
     derived = params.derive(point)
     m = dynamics.build_drift(point, derived.g_m)
     d = dynamics.build_diffusion(point)
-    return point, derived, m, d
+    return derived, m, d
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
@@ -83,14 +82,13 @@ def test_criterion_01_entanglement_oracle():
 
 
 def test_criterion_02_lyapunov_residuals(fig2_data):
-    spec, rows, elapsed = fig2_data
-    axis_names = tuple(name for name, _ in spec.axes)
+    grid, elapsed = fig2_data
     worst_res = 0.0
     min_eig = math.inf
-    for row in rows:
-        assert row.result.error_code == sweep.ErrorCode.OK
-        _, _, m, d = _rebuild(spec.base, axis_names, row.axis_values)
-        v = dynamics.steady_covariance(m, d, omega_scale=spec.base.omega_m1)
+    for point, result in oracles.grid_points(*grid):
+        assert result.error_code == sweep.ErrorCode.OK
+        _, m, d = _rebuild(point)
+        v = dynamics.steady_covariance(m, d, omega_scale=point.omega_m1)
         res = np.linalg.norm(m @ v + v @ m.T + d) / np.linalg.norm(d)
         worst_res = max(worst_res, res)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(v).min()))
@@ -104,14 +102,13 @@ def test_criterion_02_lyapunov_residuals(fig2_data):
 
 
 def test_criterion_03_transient_matches_steady(fig2_data):
-    spec, rows, _ = fig2_data
-    axis_names = tuple(name for name, _ in spec.axes)
+    points = oracles.grid_points(*fig2_data[0])
     rng = np.random.default_rng(2026)
-    picks = rng.choice(len(rows), size=5, replace=False)
+    picks = rng.choice(len(points), size=5, replace=False)
     worst = 0.0
     for idx in picks:
-        row = rows[int(idx)]
-        point, derived, m, d = _rebuild(spec.base, axis_names, row.axis_values)
+        point = points[int(idx)][0]
+        derived, m, d = _rebuild(point)
         v_inf = dynamics.steady_covariance(m, d, omega_scale=point.omega_m1)
         report = dynamics.stability(m, omega_scale=point.omega_m1)
         assert report.stable
@@ -149,8 +146,8 @@ def test_criterion_04_no_coulomb_no_entanglement():
 
 
 def test_criterion_05_coupling_strengthens_entanglement(fig2_data):
-    _, rows, _ = fig2_data
-    families = _family_rows(rows, 3, 401)
+    _, _, results = fig2_data[0]
+    families = _family_rows(results, 3, 401)
     maxima = [max(_en(r) for r in chunk) for chunk in families]
     widths = [_width(chunk) for chunk in families]
     ok = (
@@ -168,27 +165,29 @@ def test_criterion_05_coupling_strengthens_entanglement(fig2_data):
     )
 
 
-def _en_or_dead(row) -> float:
+def _en_or_dead(result) -> float:
     # near zero detuning the strongest pumps cross the parametric
     # threshold or amplify the field until the drift loses stability;
     # no steady state exists there, so for the ordering claims those
     # detunings simply carry no entanglement
-    if row.result.error_code in (
+    if result.error_code in (
         sweep.ErrorCode.THRESHOLD_SINGULARITY,
         sweep.ErrorCode.UNSTABLE,
     ):
         return 0.0
-    return _en(row)
+    return _en(result)
 
 
-def test_criterion_06_pump_gain_suppresses_and_shifts(fig3_rows):
-    families = _family_rows(fig3_rows, 6, 401)
+def test_criterion_06_pump_gain_suppresses_and_shifts(fig3_data):
+    _, axes, results = fig3_data
+    detunings = axes[1][1]
+    families = _family_rows(results, 6, 401)
     maxima, widths, argmaxes = [], [], []
     for chunk in families:
         values = [_en_or_dead(r) for r in chunk]
         maxima.append(max(values))
         widths.append(sum(1 for v in values if v > 0.0))
-        argmaxes.append(chunk[int(np.argmax(values))].axis_values[1])
+        argmaxes.append(detunings[int(np.argmax(values))])
     ok = (
         all(b <= a for a, b in zip(maxima, maxima[1:]))
         and all(b <= a for a, b in zip(widths, widths[1:]))
@@ -206,8 +205,8 @@ def test_criterion_06_pump_gain_suppresses_and_shifts(fig3_rows):
     )
 
 
-def test_criterion_07_phase_pivot_and_low_detuning_growth(fig4_rows):
-    families = _family_rows(fig4_rows, 4, 401)
+def test_criterion_07_phase_pivot_and_low_detuning_growth(fig4_data):
+    families = _family_rows(fig4_data[2], 4, 401)
     # grid index 200 sits at detuning = omega, index 150 at 0.75 omega
     at_pivot = [_en(chunk[200]) for chunk in families]
     at_low = [_en(chunk[150]) for chunk in families]
@@ -226,16 +225,16 @@ def test_criterion_07_phase_pivot_and_low_detuning_growth(fig4_rows):
 def test_criterion_08_thermal_death_and_power_scaling(fig5_data):
     monotone = True
     t_c: dict[tuple[str, float], float] = {}
-    for which, (spec, rows) in fig5_data.items():
-        families = _family_rows(rows, 4, 201)
-        ceiling = spec.axes[1][1][-1]
-        for power, chunk in zip(spec.axes[0][1], families):
+    for which, (base, ((_, powers), (_, temperatures)), results) in fig5_data.items():
+        families = _family_rows(results, 4, 201)
+        ceiling = temperatures[-1]
+        for power, chunk in zip(powers, families):
             values = [_en(r) for r in chunk]
             monotone = monotone and all(
                 b <= a + 1e-9 for a, b in zip(values, values[1:])
             )
             t_c[(which, power)] = sweep.critical_temperature(
-                dataclasses.replace(spec.base, power=power),
+                dataclasses.replace(base, power=power),
                 1e-3,
                 ceiling,
                 1e-5,
@@ -270,17 +269,15 @@ def test_criterion_09_instability_guard():
     except UnstableSystem:
         raised = True
 
-    rows = sweep.run_sweep(
-        sweep.SweepSpec(base=p, axes=(("detuning", (0.0, OMEGA)),))
-    )
-    flagged = rows[0].result.error_code != sweep.ErrorCode.OK
-    survived = rows[1].result.error_code == sweep.ErrorCode.OK
+    results = sweep.run_sweep(p, [("detuning", (0.0, OMEGA))])
+    flagged = results[0].error_code != sweep.ErrorCode.OK
+    survived = results[1].error_code == sweep.ErrorCode.OK
     ok = (not report.stable) and raised and flagged and survived
     _verdict(
         9,
         ok,
         f"max Re = {report.max_real_part:.3e} > 0, solver refused, "
-        f"sweep row flagged with code {int(rows[0].result.error_code)} "
+        f"sweep row flagged with code {int(results[0].error_code)} "
         f"and the run completed",
     )
 
@@ -288,8 +285,9 @@ def test_criterion_09_instability_guard():
 def test_criterion_10_parallel_determinism(tmp_path):
     serial = tmp_path / "fig3-p1.csv"
     parallel = tmp_path / "fig3-p8.csv"
-    sweep.run_sweep(sweep.figure_spec("fig3", parallel=1, output_path=str(serial)))
-    sweep.run_sweep(sweep.figure_spec("fig3", parallel=8, output_path=str(parallel)))
+    base, axes = sweep.figure_spec("fig3")
+    sweep.write_csv(serial, axes, sweep.run_sweep(base, axes, parallel=1))
+    sweep.write_csv(parallel, axes, sweep.run_sweep(base, axes, parallel=8))
     same = serial.read_bytes() == parallel.read_bytes()
     _verdict(
         10,

@@ -164,6 +164,10 @@ def test_sweep_writes_csv(tmp_path, capsys):
         (["base.omega_m1 = 1e-61", "base.mass = 1e-263"], [4]),
         (["base.laser_wavelength = 1e300"], [4]),
         (["base.kappa = 1e-140", "base.detuning = 0", "base.power = 1e150"], [5]),
+        # hbar*omega/(kB*T) underflows to 0: a bath occupation is inf
+        # instead of a division by expm1(0) = 0
+        (["base.omega_m1 = 1e-300", "base.omega_m2 = 1.0"], [5]),
+        (["base.omega_m2 = 1e-300"], [5]),
         # lambda^2 < omega_m1*omega_m2 holds, but omega_m1 - lambda^2/omega_m2
         # rounds to exactly 0: mode 1 keeps no static restoring force
         (
@@ -180,6 +184,8 @@ def test_sweep_writes_csv(tmp_path, capsys):
         "g0-underflow",
         "drive-underflow",
         "abs-c-s-squared",
+        "bath-1-underflow",
+        "bath-2-underflow",
         "degenerate-stiffness",
     ],
 )
@@ -295,6 +301,17 @@ def test_fig2_row_count(tmp_path, capsys):
         ("nbar", "abs_c_s", "q1s", "g_m", "stable", "max_real_part",
          "sigma", "varrho", "log_negativity", "error_code")
     )
+
+
+@pytest.mark.parametrize("which", ["fig2", "fig5a"])
+def test_sweep_on_figure_config_matches_fig_command(tmp_path, capsys, which):
+    cfg = tmp_path / f"{which}.cfg"
+    cfg.write_text(sweep.FIGURE_CONFIGS[which])
+    fig_out = tmp_path / "fig.csv"
+    sweep_out = tmp_path / "sweep.csv"
+    assert run_cli(capsys, [which, "--out", str(fig_out)])[0] == 0
+    assert run_cli(capsys, ["sweep", "--config", str(cfg), "--out", str(sweep_out)])[0] == 0
+    assert fig_out.read_bytes() == sweep_out.read_bytes()
 
 
 def test_critical_temp_success_and_guards(tmp_path, capsys):

@@ -22,22 +22,19 @@ def reference():
     return workloads.load_reference()
 
 
-def _spec_and_rows(which, request):
+def _grid(which, request):
     if which == "fig2":
-        spec, rows, _ = request.getfixturevalue("fig2_data")
-    elif which in ("fig5a", "fig5b"):
-        spec, rows = request.getfixturevalue("fig5_data")[which]
-    else:
-        spec = sweep.figure_spec(which)
-        rows = request.getfixturevalue(f"{which}_rows")
-    return spec, rows
+        return request.getfixturevalue("fig2_data")[0]
+    if which in ("fig5a", "fig5b"):
+        return request.getfixturevalue("fig5_data")[which]
+    return request.getfixturevalue(f"{which}_data")
 
 
 @pytest.mark.parametrize("which", sweep.FIGURE_NAMES)
 def test_figure_matches_reference(which, request, reference, tmp_path):
-    spec, rows = _spec_and_rows(which, request)
+    _, axes, results = _grid(which, request)
     out = tmp_path / f"{which}.csv"
-    sweep.write_csv(str(out), [name for name, _ in spec.axes], rows)
+    sweep.write_csv(str(out), axes, results)
     drift = workloads.Drift()
     failed = workloads.check_figure(
         out.read_text(encoding="utf-8"), reference[which], drift

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from omneg import params
+from omneg import params, steady_state
 
 # reference-point values recomputed at 40-digit precision with an
 # independent script before being frozen here
@@ -52,6 +52,21 @@ def test_thermal_occupation_input_checks():
         params.thermal_occupation(-1.0, 1.0)
     with pytest.raises(ValueError):
         params.thermal_occupation(1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: params.thermal_occupation(math.nan, 1.0),
+        lambda: params.thermal_occupation(1.0, math.nan),
+        lambda: steady_state.cavity_amplitude(0.0, math.nan, 0.0, 0.0, 1.0),
+    ],
+    ids=["omega", "temperature", "kappa"],
+)
+def test_nan_fails_the_input_guards(call):
+    # every comparison with NaN is false, so each guard asks for the valid range
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_drive_amplitude_power_scaling():

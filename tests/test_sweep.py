@@ -142,41 +142,38 @@ def test_failed_rows_leave_no_reference_cycles():
 
 
 def test_run_sweep_zero_axes_single_row():
-    rows = sweep.run_sweep(sweep.SweepSpec(base=strong_point(), axes=()))
-    assert len(rows) == 1
-    assert rows[0].axis_values == ()
-    assert rows[0].result.error_code == sweep.ErrorCode.OK
-    assert rows[0].result.log_negativity == pytest.approx(EN_REF, rel=1e-9)
+    (result,) = sweep.run_sweep(strong_point(), [])
+    assert result.error_code == sweep.ErrorCode.OK
+    assert result.log_negativity == pytest.approx(EN_REF, rel=1e-9)
 
 
 def test_run_sweep_row_order_first_axis_slowest():
-    spec = sweep.SweepSpec(
-        base=params.reference_params(),
-        axes=(
-            ("power", (0.03, 0.05)),
-            ("detuning", (0.5 * OMEGA, OMEGA, 1.5 * OMEGA)),
-        ),
-    )
-    rows = sweep.run_sweep(spec)
-    got = [r.axis_values for r in rows]
+    base = params.reference_params()
+    axes = [
+        ("power", (0.03, 0.05)),
+        ("detuning", (0.5 * OMEGA, OMEGA, 1.5 * OMEGA)),
+    ]
+    results = sweep.run_sweep(base, axes)
     want = [
         (p, d)
         for p in (0.03, 0.05)
         for d in (0.5 * OMEGA, OMEGA, 1.5 * OMEGA)
     ]
-    assert got == want
+    assert results == [
+        sweep.evaluate_point(dataclasses.replace(base, power=p, detuning=d)) for p, d in want
+    ]
 
 
 def test_run_sweep_parallel_matches_serial_bytes(tmp_path):
-    axes = (
+    axes = [
         ("coulomb_lambda", (0.3 * OMEGA, 0.95 * OMEGA)),
         ("detuning", (0.5 * OMEGA, OMEGA, 1.25 * OMEGA)),
-    )
+    ]
     out1 = tmp_path / "serial.csv"
     out2 = tmp_path / "parallel.csv"
     base = params.reference_params()
-    sweep.run_sweep(sweep.SweepSpec(base, axes, str(out1), parallel=1))
-    sweep.run_sweep(sweep.SweepSpec(base, axes, str(out2), parallel=2))
+    sweep.write_csv(out1, axes, sweep.run_sweep(base, axes, parallel=1))
+    sweep.write_csv(out2, axes, sweep.run_sweep(base, axes, parallel=2))
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -214,9 +211,8 @@ def test_run_sweep_pool_size_is_bounded(monkeypatch, parallel, rows, cpus, worke
     monkeypatch.setattr(
         sweep, "run_stages", lambda base, overrides: [sweep.Stages(0.0) for _ in overrides]
     )
-    axes = (("power", tuple(0.01 * (i + 1) for i in range(rows))),)
-    spec = sweep.SweepSpec(params.reference_params(), axes, parallel=parallel)
-    got = sweep.run_sweep(spec)
+    axes = [("power", tuple(0.01 * (i + 1) for i in range(rows)))]
+    got = sweep.run_sweep(params.reference_params(), axes, parallel)
     assert len(got) == rows
     assert started == ([] if workers is None else [workers])
     # every worker gets at least one contiguous chunk
@@ -347,42 +343,41 @@ def test_any_batch_gives_each_row_as_alone(coded):
 def test_run_sweep_rows_do_not_depend_on_workers(rows):
     # every detuning comes at a valid coupling and at one past the
     # normal-mode bound, so each chunk mixes code-1 rows with solved ones
-    axes = (
+    axes = [
         ("detuning", tuple(np.linspace(-0.5, 2.0, rows) * OMEGA)),
         ("coulomb_lambda", (0.95 * OMEGA, 1.05 * OMEGA)),
-    )
+    ]
     base = params.SystemParams(opa_gain=2e7)
-    serial = sweep.run_sweep(sweep.SweepSpec(base, axes, parallel=1))
-    pooled = sweep.run_sweep(sweep.SweepSpec(base, axes, parallel=2))
+    serial = sweep.run_sweep(base, axes, parallel=1)
+    pooled = sweep.run_sweep(base, axes, parallel=2)
     assert repr(serial) == repr(pooled)
 
 
 def test_run_sweep_bad_axis_value_flags_single_row():
     # 1.05*omega breaks the normal-mode bound, so construction fails
     # for that row alone; its neighbours still evaluate
-    spec = sweep.SweepSpec(
-        base=params.reference_params(),
-        axes=(("coulomb_lambda", (0.5 * OMEGA, 1.05 * OMEGA, 0.95 * OMEGA)),),
+    results = sweep.run_sweep(
+        params.reference_params(),
+        [("coulomb_lambda", (0.5 * OMEGA, 1.05 * OMEGA, 0.95 * OMEGA))],
     )
-    rows = sweep.run_sweep(spec)
-    codes = [r.result.error_code for r in rows]
+    codes = [r.error_code for r in results]
     assert codes == [
         sweep.ErrorCode.OK,
         sweep.ErrorCode.INVALID_PARAMS,
         sweep.ErrorCode.OK,
     ]
-    bad = rows[1].result
+    bad = results[1]
     assert bad.nbar is None and bad.log_negativity is None
 
 
 def test_run_sweep_rejects_bad_spec():
     base = params.reference_params()
     with pytest.raises(ConfigError):
-        sweep.run_sweep(sweep.SweepSpec(base, (("frequency", (1.0,)),)))
+        sweep.run_sweep(base, [("frequency", (1.0,))])
     with pytest.raises(ConfigError):
-        sweep.run_sweep(sweep.SweepSpec(base, (("power", ()),)))
+        sweep.run_sweep(base, [("power", ())])
     with pytest.raises(ConfigError):
-        sweep.run_sweep(sweep.SweepSpec(base, (), parallel=0))
+        sweep.run_sweep(base, [], parallel=0)
 
 
 def test_run_sweep_rejects_grid_over_cap(monkeypatch):
@@ -392,31 +387,28 @@ def test_run_sweep_rejects_grid_over_cap(monkeypatch):
     monkeypatch.setattr(sweep, "itertools", types.SimpleNamespace(product=boom))
     monkeypatch.setattr(sweep, "_grid_task", boom)
     side = (0.05,) * 1001
-    axes = (("power", side), ("temperature", side))
+    axes = [("power", side), ("temperature", side)]
     with pytest.raises(ConfigError, match="cap"):
-        sweep.run_sweep(sweep.SweepSpec(params.reference_params(), axes))
+        sweep.run_sweep(params.reference_params(), axes)
 
 
 def test_csv_layout_and_roundtrip(tmp_path):
     out = tmp_path / "table.csv"
-    spec = sweep.SweepSpec(
-        base=params.reference_params(),
-        axes=(("detuning", (-OMEGA, OMEGA)),),
-        output_path=str(out),
-    )
-    rows = sweep.run_sweep(spec)
+    axes = [("detuning", (-OMEGA, OMEGA))]
+    results = sweep.run_sweep(params.reference_params(), axes)
+    sweep.write_csv(out, axes, results)
     text = out.read_text(encoding="utf-8")
     assert "\r" not in text
     lines = text.split("\n")
     assert lines[0] == "detuning," + ",".join(sweep.CSV_COLUMNS)
     assert lines[-1] == ""
-    assert len(lines) == len(rows) + 2
+    assert len(lines) == len(results) + 2
 
     # stable row: every float survives a parse round-trip at 17 digits
     ok_cells = lines[2].split(",")
     assert ok_cells[-1] == "0"
     assert float(ok_cells[0]) == OMEGA
-    result = rows[1].result
+    result = results[1]
     assert float(ok_cells[1]) == result.nbar
     assert float(ok_cells[9]) == result.log_negativity
     assert ok_cells[5] == "1"
@@ -430,34 +422,34 @@ def test_csv_layout_and_roundtrip(tmp_path):
 
 def test_figure_spec_families():
     w = OMEGA
-    fig2 = sweep.figure_spec("fig2")
-    assert fig2.base.opa_gain == 0.0
-    assert fig2.axes[0] == ("coulomb_lambda", (0.3 * w, 0.5 * w, 0.95 * w))
-    assert fig2.axes[1][0] == "detuning"
-    grid = fig2.axes[1][1]
+    base, axes = sweep.figure_spec("fig2")
+    assert base.opa_gain == 0.0
+    assert axes[0] == ("coulomb_lambda", (0.3 * w, 0.5 * w, 0.95 * w))
+    assert axes[1][0] == "detuning"
+    grid = axes[1][1]
     assert len(grid) == 401
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(2.0 * w, rel=1e-15)
     assert grid[200] == pytest.approx(w, rel=1e-15)
 
-    fig3 = sweep.figure_spec("fig3")
-    assert fig3.base.coulomb_lambda == 0.95 * w
-    assert fig3.base.opa_phase == 0.0
-    assert fig3.axes[0] == ("opa_gain", (0.0, 2e7, 5e7, 8e7, 10e7, 12e7))
+    base, axes = sweep.figure_spec("fig3")
+    assert base.coulomb_lambda == 0.95 * w
+    assert base.opa_phase == 0.0
+    assert axes[0] == ("opa_gain", (0.0, 2e7, 5e7, 8e7, 10e7, 12e7))
 
-    fig4 = sweep.figure_spec("fig4")
-    assert fig4.base.opa_gain == 12e7
-    assert fig4.axes[0] == (
+    base, axes = sweep.figure_spec("fig4")
+    assert base.opa_gain == 12e7
+    assert axes[0] == (
         "opa_phase",
         (0.0, math.pi / 16, math.pi / 6, math.pi / 4),
     )
 
     for name, gain in (("fig5a", 2e7), ("fig5b", 8e7)):
-        fig5 = sweep.figure_spec(name)
-        assert fig5.base.opa_gain == gain
-        assert fig5.base.coulomb_lambda == 0.95 * w
-        assert fig5.base.detuning == 0.75 * w
-        assert fig5.base.opa_phase == math.pi / 16
-        assert fig5.axes[0] == ("power", (0.03, 0.05, 0.08, 0.10))
+        base, axes = sweep.figure_spec(name)
+        assert base.opa_gain == gain
+        assert base.coulomb_lambda == 0.95 * w
+        assert base.detuning == 0.75 * w
+        assert base.opa_phase == math.pi / 16
+        assert axes[0] == ("power", (0.03, 0.05, 0.08, 0.10))
 
     with pytest.raises(ConfigError):
         sweep.figure_spec("fig6")
@@ -467,8 +459,7 @@ def test_figure_spec_fig5_temperature_grid():
     # each ceiling is the first doubling of 8 mK at which every power
     # family is dead, so the grid brackets each family's death
     for which, ceiling in (("fig5a", 0.064), ("fig5b", 0.128)):
-        spec = sweep.figure_spec(which)
-        (power_name, powers), (name, tgrid) = spec.axes
+        base, ((power_name, powers), (name, tgrid)) = sweep.figure_spec(which)
         assert power_name == "power" and name == "temperature"
         assert len(tgrid) == 201
         assert tgrid[0] == 1e-3 and tgrid[-1] == ceiling
@@ -476,7 +467,7 @@ def test_figure_spec_fig5_temperature_grid():
         def rows_at(temperature):
             return [
                 sweep.evaluate_point(
-                    dataclasses.replace(spec.base, power=p, temperature=temperature)
+                    dataclasses.replace(base, power=p, temperature=temperature)
                 )
                 for p in powers
             ]
