@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import smallmat
-from .errors import PointFailure, SingularSolve, UnstableSystem
+from .errors import EigenFailure, PointFailure, SingularSolve, UnstableSystem
 from .params import thermal_occupation
 
 __all__ = [
@@ -100,26 +100,61 @@ class StabilityReport:
             )
 
 
-def stability(m, omega_scale: float) -> StabilityReport:
+def stability(m, omega_scale):
     """Check that every drift eigenvalue sits left of a small margin.
 
     The margin is STABILITY_EPS_FRACTION times omega_scale, a
     characteristic frequency of the system (omega_m1 in the pipeline),
     which must be positive.
+
+    A stack m of shape (B, n, n) with omega_scale of shape (B,) takes
+    one eigenvalue call for all B systems and returns a list of B
+    entries, each the system's StabilityReport or the PointFailure a
+    single call would raise for it, and each report equals the single
+    call's to the bit. When LAPACK fails on the stack (a non-finite or
+    non-converging system), its systems are redone one at a time.
     """
     arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"m must be a square matrix, got shape {arr.shape}")
-    if not omega_scale > 0.0:
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"m must be a square matrix or a stack of them, got shape {arr.shape}")
+    single = arr.ndim == 2
+    if single:
+        arr, omega_scale = arr[None], [omega_scale]
+    if np.shape(omega_scale) != arr.shape[:1]:
+        raise ValueError(f"omega_scale must hold one scale per system, "
+                         f"got shape {np.shape(omega_scale)} for {arr.shape[0]}")
+    scales = [float(s) for s in omega_scale]
+    if not all(s > 0.0 for s in scales):
         raise ValueError(f"omega_scale must be positive, got {omega_scale}")
-    eig = smallmat.eigenvalues(arr)
-    max_re = float(eig.real.max())
-    margin = STABILITY_EPS_FRACTION * omega_scale
-    return StabilityReport(
-        stable=bool(max_re < -margin),
-        max_real_part=max_re,
-        eigenvalues=tuple(complex(z) for z in eig),
-    )
+    try:
+        out = _reports(smallmat.eigenvalues(arr), scales)
+    except EigenFailure:
+        # one system at a time, so each failure is its own
+        out = []
+        for mi, scale in zip(arr, scales):
+            try:
+                out.append(_reports(smallmat.eigenvalues(mi[None]), [scale])[0])
+            except EigenFailure as exc:
+                out.append(exc.with_traceback(None))
+    if single:
+        if isinstance(out[0], PointFailure):
+            raise out[0]
+        return out[0]
+    return out
+
+
+def _reports(eigs, scales) -> list[StabilityReport]:
+    """One StabilityReport per row of the (B, n) eigenvalues eigs."""
+    # max is exact, so each row's maximum is the single call's
+    maxes = eigs.real.max(axis=1).tolist()
+    return [
+        StabilityReport(
+            stable=max_re < -(STABILITY_EPS_FRACTION * scale),
+            max_real_part=max_re,
+            eigenvalues=tuple(eig),
+        )
+        for eig, max_re, scale in zip(eigs.tolist(), maxes, scales)
+    ]
 
 
 def steady_covariance(m, d, omega_scale):
@@ -147,17 +182,16 @@ def steady_covariance(m, d, omega_scale):
     single = marr.ndim == 2
     if single:
         marr, darr, omega_scale = marr[None], darr[None], [omega_scale]
-    if np.shape(omega_scale) != marr.shape[:1]:
-        raise ValueError(f"omega_scale must hold one scale per system, "
-                         f"got shape {np.shape(omega_scale)} for {marr.shape[0]}")
+    # one stacked stability call, which checks omega_scale as well
     out = []
-    for mi, scale in zip(marr, omega_scale):
-        try:
-            stability(mi, float(scale)).require_stable()
-        except PointFailure as exc:
-            out.append(exc.with_traceback(None))
-        else:
-            out.append(None)
+    for report in stability(marr, omega_scale):
+        if isinstance(report, StabilityReport):
+            try:
+                report.require_stable()
+                report = None
+            except UnstableSystem as exc:
+                report = exc.with_traceback(None)
+        out.append(report)
     solved = [i for i, v in enumerate(out) if v is None]
     if solved:
         ms, ds = (marr, darr) if len(solved) == len(out) else (marr[solved], darr[solved])

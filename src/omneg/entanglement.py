@@ -32,7 +32,7 @@ class EntanglementResult:
     entangled: bool
 
 
-def log_negativity(v) -> EntanglementResult:
+def log_negativity(v):
     """E_N = max(0, -ln 2*varrho) of the 4x4 oscillator covariance v.
 
     v is [[A, C], [C^T, B]] in (q1, p1, q2, p2) order. varrho is the
@@ -49,16 +49,36 @@ def log_negativity(v) -> EntanglementResult:
     be at least 1/2, judged from Delta = det A + det B + 2 det C and
     det V. For V > 0 the partial transpose is positive definite too, so
     a negative square root argument is roundoff and is clamped to zero.
+
+    A stack (B, 4, 4) takes one ``smallmat.det`` call and returns a
+    list of B entries, each the covariance's EntanglementResult or the
+    NonPhysicalState a single call would raise for it, equal to the bit.
     """
     arr = np.asarray(v, dtype=float)
-    if arr.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 covariance, got {arr.shape}")
+    if arr.shape[-2:] != (4, 4) or arr.ndim not in (2, 3):
+        raise ValueError(f"expected a 4x4 covariance or a stack of them, got {arr.shape}")
+    single = arr.ndim == 2
+    if single:
+        arr = arr[None]
+    out = []
     # Python floats: the same IEEE products, but an overflow is a silent inf
-    q = arr.tolist()
+    for q, detv in zip(arr.tolist(), smallmat.det(arr).tolist()):
+        try:
+            out.append(_invariants(q, detv))
+        except NonPhysicalState as exc:
+            out.append(exc.with_traceback(None))
+    if single:
+        if isinstance(out[0], NonPhysicalState):
+            raise out[0]
+        return out[0]
+    return out
+
+
+def _invariants(q, detv: float) -> EntanglementResult:
+    """log_negativity's checks and E_N from the rows q of V and det V."""
     det_a = q[0][0] * q[1][1] - q[0][1] * q[1][0]
     det_b = q[2][2] * q[3][3] - q[2][3] * q[3][2]
     det_c = q[0][2] * q[1][3] - q[0][3] * q[1][2]
-    detv = smallmat.det(arr)
     sigma = det_a + det_b - 2.0 * det_c
     disc = sigma * sigma - 4.0 * detv
     # eps below scales with Sigma^2, so an overflowed Sigma^2 would

@@ -81,13 +81,15 @@ class SystemParams:
     temperature: float = 4.0e-3
 
     def __post_init__(self) -> None:
-        for name in dataclasses.fields(self):
-            value = getattr(self, name.name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name.name} must be a real number")
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            exact = type(value) is float
+            if not exact and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be a real number")
             if not math.isfinite(value):
-                raise ValueError(f"{name.name} must be finite, got {value!r}")
-            object.__setattr__(self, name.name, float(value))
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not exact:
+                object.__setattr__(self, name, float(value))
         for name in _POSITIVE_FIELDS:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -100,6 +102,10 @@ class SystemParams:
                 "coulomb_lambda^2 must stay below omega_m1*omega_m2; "
                 f"got lambda={self.coulomb_lambda}"
             )
+
+
+# the field names, in order, for __post_init__'s per-row checks
+_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(SystemParams))
 
 
 def reference_params(**overrides) -> SystemParams:

@@ -6,7 +6,7 @@ non-finite arithmetic is classified by their stage guards. Eigenvalues
 go through LAPACK, whose own finiteness check turns a non-finite matrix
 into EigenFailure; the elimination kernels are local so the pivot
 policy stays explicit. ``solve`` takes stacks of matrices along a
-leading axis; ``kron`` and ``frob_norm`` take one matrix or a stack.
+leading axis; the other kernels take one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ PIVOT_RTOL = 1e-14
 
 
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a real square matrix as complex128."""
+    """All eigenvalues of a real square matrix, or of a stack, as complex128.
+
+    A stack (B, n, n) gives (B, n) in one LAPACK call, each row the
+    single call's eigenvalues to the bit; LAPACK raises for the whole
+    stack when any system is non-finite or fails to converge.
+    """
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -82,24 +87,41 @@ def solve(a, b):
     return x, failures
 
 
-def det(a) -> float:
-    """Determinant of a 4x4 matrix by pivoted elimination; overflow gives inf."""
+def det(a):
+    """Determinant of a 4x4 matrix by pivoted elimination; overflow gives inf.
+
+    A stack (B, 4, 4) is eliminated in lockstep and gives an ndarray of
+    B determinants: every system takes its own pivots and sees the same
+    per-element operations as alone, so each equals the single call's
+    float to the bit. A zero pivot gives 0.0 for its own system only.
+    """
     arr = np.asarray(a, dtype=float)
-    if arr.shape != (4, 4):
-        raise ValueError(f"det supports 4x4 only, got shape {arr.shape}")
-    work = np.array(arr, dtype=float)
-    sign = 1.0
+    if arr.shape[-2:] != (4, 4) or arr.ndim not in (2, 3):
+        raise ValueError(f"det supports 4x4 matrices or stacks of them, got shape {arr.shape}")
+    work = np.array(arr[None] if arr.ndim == 2 else arr, dtype=float)
+    size = len(work)
+    sign = np.ones(size)
+    dead = np.zeros(size, dtype=bool)
+    rows = work.reshape(size * 4, 4)
+    # row_k[k] holds the flat index of row k of every system
+    row_k = np.arange(4)[:, None] + np.arange(0, size * 4, 4)
+    # a system with a zero pivot divides by it; its NaN and inf stay in
+    # its own rows and its determinant is set to 0.0 below
     with np.errstate(all="ignore"):
         for k in range(3):
-            p = k + int(np.argmax(np.abs(work[k:, k])))
-            if work[p, k] == 0.0:
-                return 0.0
-            if p != k:
-                work[[k, p]] = work[[p, k]]
-                sign = -sign
-            mult = work[k + 1:, k] / work[k, k]
-            work[k + 1:, k + 1:] -= np.outer(mult, work[k, k + 1:])
-        return float(sign * work[0, 0] * work[1, 1] * work[2, 2] * work[3, 3])
+            p = np.abs(work[:, k:, k]).argmax(axis=1)
+            dead |= work[range(size), p + k, k] == 0.0
+            if np.count_nonzero(p):
+                sign[p != 0] *= -1.0
+                p += row_k[k]
+                pivot_row = rows[p]
+                rows[p] = work[:, k]
+                work[:, k] = pivot_row
+            mult = work[:, k + 1:, k] / work[:, k, None, k]
+            work[:, k + 1:, k + 1:] -= mult[:, :, None] * work[:, k, None, k + 1:]
+        out = sign * work[:, 0, 0] * work[:, 1, 1] * work[:, 2, 2] * work[:, 3, 3]
+    out[dead] = 0.0
+    return float(out[0]) if arr.ndim == 2 else out
 
 
 def kron(a, b) -> np.ndarray:

@@ -65,8 +65,9 @@ class Stages:
         return self.entanglement.log_negativity
 
 
-# rows per stacked Lyapunov solve: the stack shares the elimination's
-# per-column overhead, and 32 systems of 36x37 stay near 340 kB
+# rows per stack: stability, the Lyapunov solve and the negativity of up
+# to this many points run as one call each, which shares their per-call
+# overhead; 32 systems of 36x37 stay near 340 kB
 STACK_ROWS = 32
 
 
@@ -77,10 +78,13 @@ def run_stages(base: SystemParams, overrides) -> list[Stages]:
     rejected point fails with InvalidParams), steady state
     (params.derive), drift and diffusion, stability, steady covariance,
     negativity of its oscillator block. The first PointFailure stops a
-    point's run and is kept in its record. Every stage but the
-    covariance runs point by point; the points that reach it are solved
-    in stacks of at most STACK_ROWS, in order. A point's record is the
-    same whatever other points share the call.
+    point's run and is kept in its record. Validation, steady state,
+    drift and diffusion run point by point; the points that pass them
+    go on in stacks of at most STACK_ROWS, in order, and each later
+    stage is one stacked call per stack. A point's record is the same
+    whatever other points share the call, except that a PointFailure
+    raised by a stacked call, rather than reported for one system,
+    fails every point of its stack.
     """
     records = []
     pending = []
@@ -91,42 +95,63 @@ def run_stages(base: SystemParams, overrides) -> list[Stages]:
             records.append(Stages(failure=InvalidParams(str(exc))))
             continue
         nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
-        derived = report = None
+        derived = None
         try:
             derived = params_mod.derive(p)
             m = dynamics.build_drift(p, derived.g_m)
             d = dynamics.build_diffusion(p)
-            report = dynamics.stability(m, omega_scale=p.omega_m1)
-            report.require_stable()
         except PointFailure as exc:
             # kept without its traceback, whose frames link back to the
             # caller's local holding this record: a reference cycle per row
-            records.append(Stages(nbar, derived, report, failure=exc.with_traceback(None)))
+            records.append(Stages(nbar, derived, failure=exc.with_traceback(None)))
             continue
-        pending.append((len(records), nbar, derived, report, m, d, p.omega_m1))
-        records.append(None)  # filled in when its stack is solved
+        pending.append((len(records), nbar, derived, m, d, p.omega_m1))
+        records.append(None)  # filled in when its stack is run
         if len(pending) == STACK_ROWS:
-            _covariance_and_negativity(pending, records)
+            _run_stack(pending, records)
             pending = []
     if pending:
-        _covariance_and_negativity(pending, records)
+        _run_stack(pending, records)
     return records
 
 
-def _covariance_and_negativity(pending, records) -> None:
-    """Solve the pending points' covariances as one stack, then their E_N."""
-    index, nbar, derived, report, ms, ds, scales = zip(*pending)
-    covariances = dynamics.steady_covariance(np.array(ms), np.array(ds), np.array(scales))
-    for j, v in enumerate(covariances):
-        ent = failure = None
-        if isinstance(v, PointFailure):
-            failure = v
-        else:
+def _run_stack(pending, records) -> None:
+    """Stability, covariance and E_N of the pending points, one stacked call each."""
+    index, nbar, derived, ms, ds, scales = zip(*pending)
+    ms, ds, scales = np.array(ms), np.array(ds), np.array(scales)
+    reports = _stacked(dynamics.stability, ms, scales)
+    # each point's latest stage output, or its failure
+    latest = []
+    for report in reports:
+        if isinstance(report, StabilityReport):
             try:
-                ent = entanglement.log_negativity(v[:4, :4])
+                report.require_stable()
             except PointFailure as exc:
-                failure = exc.with_traceback(None)
-        records[index[j]] = Stages(nbar[j], derived[j], report[j], ent, failure)
+                report = exc.with_traceback(None)
+        latest.append(report)
+    rows = [j for j, out in enumerate(latest) if isinstance(out, StabilityReport)]
+    if rows:
+        covariances = _stacked(dynamics.steady_covariance, ms[rows], ds[rows], scales[rows])
+        for j, v in zip(rows, covariances):
+            latest[j] = v
+        rows = [j for j in rows if not isinstance(latest[j], PointFailure)]
+    if rows:
+        blocks = np.array([latest[j][:4, :4] for j in rows])
+        for j, ent in zip(rows, _stacked(entanglement.log_negativity, blocks)):
+            latest[j] = ent
+    for j, out in enumerate(latest):
+        failed = isinstance(out, PointFailure)
+        report = reports[j] if isinstance(reports[j], StabilityReport) else None
+        records[index[j]] = Stages(nbar[j], derived[j], report,
+                                   None if failed else out, out if failed else None)
+
+
+def _stacked(call, *stacks) -> list:
+    """call(*stacks), one entry per system; a PointFailure it raises is every entry."""
+    try:
+        return call(*stacks)
+    except PointFailure as exc:
+        return [exc.with_traceback(None)] * len(stacks[0])
 
 
 class PointResult(typing.NamedTuple):
@@ -224,6 +249,8 @@ def run_sweep(base: SystemParams, axes, parallel: int = 1) -> list[PointResult]:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, bool):

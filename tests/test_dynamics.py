@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from omneg import dynamics, params, smallmat
-from omneg.errors import PointFailure, SingularSolve, UnstableSystem
+from omneg import dynamics, params, smallmat, sweep
+from omneg.errors import EigenFailure, PointFailure, SingularSolve, UnstableSystem
 
 TWO_PI = 2.0 * math.pi
 # frozen mechanical diffusion entry gamma_m*(2*nbar+1) at the reference point
@@ -115,6 +115,47 @@ def test_stability_rejects_non_square_matrix():
     for bad in (np.zeros((2, 3)), np.zeros(6), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError):
             dynamics.stability(bad, omega_scale=1.0)
+
+
+def fig3_drifts():
+    """Drifts and scales of 32 fig3 rows at gain 5e7: code 5, then code 0."""
+    base, axes = sweep.figure_spec("fig3")
+    detunings = dict(axes)["detuning"][20:52]
+    ms = []
+    for detuning in detunings:
+        p = dataclasses.replace(base, opa_gain=5e7, detuning=detuning)
+        ms.append(dynamics.build_drift(p, params.derive(p).g_m))
+    return np.array(ms), np.full(len(ms), base.omega_m1)
+
+
+def test_stability_stack_matches_single_calls_bit_for_bit():
+    ms, scales = fig3_drifts()
+    got = dynamics.stability(ms, scales)
+    assert len(got) == len(ms)
+    assert {r.stable for r in got} == {True, False}
+    for m, scale, report in zip(ms, scales, got):
+        # float and complex reprs round-trip, so equal reprs are equal bits
+        assert repr(report) == repr(dynamics.stability(m, omega_scale=scale))
+
+
+@pytest.mark.filterwarnings("error")
+def test_stability_stack_reports_non_finite_system_alone():
+    ms, scales = fig3_drifts()
+    ms = ms[:4].copy()
+    ms[2, 5, 0] = np.inf
+    got = dynamics.stability(ms, scales[:4])
+    with pytest.raises(EigenFailure) as alone:
+        dynamics.stability(ms[2], omega_scale=scales[2])
+    assert type(got[2]) is EigenFailure and str(got[2]) == str(alone.value)
+    for i in (0, 1, 3):
+        assert repr(got[i]) == repr(dynamics.stability(ms[i], omega_scale=scales[i]))
+
+
+def test_stability_stack_needs_one_positive_scale_per_system():
+    ms, scales = fig3_drifts()
+    for bad in (scales[:3], np.append(scales[:1], -1.0)):
+        with pytest.raises(ValueError):
+            dynamics.stability(ms[:2], bad)
 
 
 def test_stability_above_gain_threshold_is_unstable():

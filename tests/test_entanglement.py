@@ -166,6 +166,37 @@ def test_state_below_zero_point_motion_is_unphysical(capsys):
     assert oracles.uncertainty_margin(v[:4, :4]) == pytest.approx(-0.0093, abs=5e-4)
 
 
+def test_log_negativity_stack_matches_single_calls():
+    # physical states beside unphysical ones (a singular block included,
+    # whose zero pivot makes det V = 0 for it alone); each entry is the
+    # single call's result, or its failure with the same message
+    zero_varrho = 0.5 * np.eye(4)
+    zero_varrho[:2, 2:] = zero_varrho[2:, :2] = 0.5 * np.diag([1.0, -1.0])
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((4, 4))
+    stack = np.array([
+        two_mode_squeezed(0.1),
+        -np.eye(4),
+        two_mode_squeezed(1.0),
+        zero_varrho,
+        np.full((4, 4), 0.5),
+        np.diag([1.7, 1.7, 2.3, 2.3]),
+        a @ a.T + np.eye(4),
+    ])
+    got = entanglement.log_negativity(stack)
+    assert len(got) == len(stack)
+    for v, entry in zip(stack, got):
+        try:
+            alone = entanglement.log_negativity(v)
+        except NonPhysicalState as exc:
+            assert type(entry) is NonPhysicalState and str(entry) == str(exc)
+        else:
+            # float reprs round-trip, so equal reprs are equal bits
+            assert repr(entry) == repr(alone)
+    assert [type(e) is NonPhysicalState for e in got] == [False, True, False, True,
+                                                          True, False, False]
+
+
 @settings(derandomize=True, database=None, deadline=None)
 @given(
     upper=hnp.arrays(

@@ -124,6 +124,28 @@ def test_det_4x4_singular_is_zero():
     assert smallmat.det(a) == 0.0
 
 
+def test_det_stack_matches_single_calls_bit_for_bit():
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((40, 4, 4))
+    got = smallmat.det(stack)
+    assert got.shape == (40,)
+    single = np.array([smallmat.det(a) for a in stack])
+    assert np.array_equal(got.view(np.int64), single.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_det_stack_zero_pivot_is_zero_alone():
+    # the zero column meets a zero pivot at k = 1, whose division stays
+    # in its own system: no warning, and its neighbours come out as alone
+    rng = np.random.default_rng(19)
+    stack = rng.standard_normal((3, 4, 4))
+    stack[1, :, 1] = 0.0
+    got = smallmat.det(stack)
+    assert got[1] == 0.0 and smallmat.det(stack[1]) == 0.0
+    for i in (0, 2):
+        assert got[i] == smallmat.det(stack[i]) != 0.0
+
+
 def test_det_rejects_other_sizes():
     for a in (np.eye(2), np.eye(3)):
         with pytest.raises(ValueError):

@@ -287,29 +287,32 @@ def same_record(a: sweep.Stages, b: sweep.Stages) -> bool:
     )
 
 
-# (code, coulomb_lambda / omega_m, detuning / omega_m, opa_gain range):
-# red-detuned and below threshold (0), coupling at or past the
+# (code, coulomb_lambda / omega_m, detuning / omega_m, opa_gain, power
+# range): red-detuned and below threshold (0), coupling at or past the
 # normal-mode bound sqrt(omega_m1 * omega_m2) (1), on resonance above
-# the pump threshold (2), blue-detuned and unstable (5)
+# the pump threshold (2), a drive so strong that |c_s|^2 overflows and
+# the drift holds inf (4), blue-detuned and unstable (5)
 POINT_KINDS = (
-    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7)),
-    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7)),
-    (1, (1.0, 1.5), (0.3, 2.0), (0.0, 4e7)),
-    (2, (-0.98, 0.98), (0.0, 0.05), (5e7, 2e8)),
-    (5, (-0.98, 0.98), (-1.5, -0.3), (0.0, 4e7)),
+    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1)),
+    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1)),
+    (1, (1.0, 1.5), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1)),
+    (2, (-0.98, 0.98), (0.0, 0.05), (5e7, 2e8), (0.01, 0.1)),
+    (4, (-0.98, 0.98), (-1.5, 2.0), (0.0, 4e7), (1e300, 1e308)),
+    (5, (-0.98, 0.98), (-1.5, -0.3), (0.0, 4e7), (0.01, 0.1)),
 )
 
 
 @st.composite
 def coded_points(draw):
     """(code, overrides of the default SystemParams) for one point."""
-    code, (l_lo, l_hi), (d_lo, d_hi), (g_lo, g_hi) = draw(st.sampled_from(POINT_KINDS))
+    code, (l_lo, l_hi), (d_lo, d_hi), (g_lo, g_hi), (p_lo, p_hi) = draw(
+        st.sampled_from(POINT_KINDS))
     changes = {
         "coulomb_lambda": draw(st.floats(l_lo, l_hi)) * OMEGA,
         "detuning": draw(st.floats(d_lo, d_hi)) * OMEGA,
         "opa_gain": draw(st.floats(g_lo, g_hi)),
         "opa_phase": draw(st.floats(-math.pi, math.pi)),
-        "power": draw(st.floats(0.01, 0.1)),
+        "power": draw(st.floats(p_lo, p_hi)),
         "temperature": draw(st.floats(0.0, 0.05)),
     }
     return code, changes
