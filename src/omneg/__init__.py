@@ -4,10 +4,11 @@ The pipeline runs parameter validation -> params.derive (the classical
 steady state) -> dynamics -> entanglement and is stated once, in
 ``sweep.run_stages(base, overrides)``: for each override dict it
 returns every stage's output plus the failure that stopped it, running
-the points' stability tests, Lyapunov solves and negativities in stacks. ``evaluate_point`` (the CSV
-row), grid sweeps, the ``point`` command and ``critical_temperature``
-all read that record; cli fronts everything from the command line. All frequencies and rates are angular (rad/s);
-vacuum variance is 1/2.
+the points' stability tests, Lyapunov solves and negativities in
+stacks. ``evaluate_point`` (the CSV row), grid sweeps, the ``point``
+command and ``critical_temperature`` all read that record; cli fronts
+everything from the command line. All frequencies and rates are
+angular (rad/s); vacuum variance is 1/2.
 
 The package root exports the library entry points, the parameter
 record, the error codes and the exceptions; every other name
