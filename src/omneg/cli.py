@@ -3,7 +3,8 @@
 Exit codes: 0 on success (including runs whose physics fails at some
 grid point; those land in rows or in the JSON ``error`` field), 1 on
 ConfigError, 2 on I/O failure. ``OMN_PARALLEL`` supplies the default
-worker count when ``--parallel`` is absent.
+worker count when ``--parallel`` is absent. JSON output is strict
+RFC 8259: a non-finite float is the string "inf", "-inf" or "nan".
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -136,8 +138,17 @@ def _cmd_point(args) -> int:
             "name": type(stages.failure).__name__,
             "detail": str(stages.failure),
         }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(_finite_json(out), indent=2, allow_nan=False))
     return 0
+
+
+def _finite_json(value):
+    """value with each non-finite float spelled as in the CSV: inf, -inf or nan."""
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(v) for v in value]
+    return f"{value:.17g}" if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _cmd_grid(args) -> int:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import smallmat
-from .errors import EigenFailure, PointFailure, SingularSolve, UnstableSystem
+from .errors import EigenFailure, SingularSolve, UnstableSystem, unstack
 from .params import thermal_occupation
 
 __all__ = [
@@ -91,13 +91,14 @@ class StabilityReport:
     max_real_part: float
     eigenvalues: tuple[complex, ...]
 
-    def require_stable(self) -> None:
-        """Raise UnstableSystem unless the spectrum clears the margin."""
-        if not self.stable:
-            raise UnstableSystem(
-                f"drift spectrum reaches Re={self.max_real_part:.6g}; "
-                "no steady covariance exists"
-            )
+    def failure(self) -> UnstableSystem | None:
+        """UnstableSystem unless the spectrum clears the margin, else None."""
+        if self.stable:
+            return None
+        return UnstableSystem(
+            f"drift spectrum reaches Re={self.max_real_part:.6g}; "
+            "no steady covariance exists"
+        )
 
 
 def stability(m, omega_scale):
@@ -136,11 +137,7 @@ def stability(m, omega_scale):
                 out.append(_reports(smallmat.eigenvalues(mi[None]), [scale])[0])
             except EigenFailure as exc:
                 out.append(exc.with_traceback(None))
-    if single:
-        if isinstance(out[0], PointFailure):
-            raise out[0]
-        return out[0]
-    return out
+    return unstack(out) if single else out
 
 
 def _reports(eigs, scales) -> list[StabilityReport]:
@@ -182,16 +179,10 @@ def steady_covariance(m, d, omega_scale):
     single = marr.ndim == 2
     if single:
         marr, darr, omega_scale = marr[None], darr[None], [omega_scale]
-    # one stacked stability call, which checks omega_scale as well
-    out = []
-    for report in stability(marr, omega_scale):
-        if isinstance(report, StabilityReport):
-            try:
-                report.require_stable()
-                report = None
-            except UnstableSystem as exc:
-                report = exc.with_traceback(None)
-        out.append(report)
+    # one stacked stability call, which checks omega_scale as well; None
+    # marks a stable system, still to be solved
+    out = [r.failure() if isinstance(r, StabilityReport) else r
+           for r in stability(marr, omega_scale)]
     solved = [i for i, v in enumerate(out) if v is None]
     if solved:
         ms, ds = (marr, darr) if len(solved) == len(out) else (marr[solved], darr[solved])
@@ -217,8 +208,4 @@ def steady_covariance(m, d, omega_scale):
                 )
             else:
                 out[i] = v[j]
-    if single:
-        if isinstance(out[0], PointFailure):
-            raise out[0]
-        return out[0]
-    return out
+    return unstack(out) if single else out

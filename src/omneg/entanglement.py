@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from . import smallmat
-from .errors import NonPhysicalState
+from .errors import NonPhysicalState, unstack
 
 __all__ = [
     "PHYS_EPS_FLOOR",
@@ -60,22 +60,13 @@ def log_negativity(v):
     single = arr.ndim == 2
     if single:
         arr = arr[None]
-    out = []
     # Python floats: the same IEEE products, but an overflow is a silent inf
-    for q, detv in zip(arr.tolist(), smallmat.det(arr).tolist()):
-        try:
-            out.append(_invariants(q, detv))
-        except NonPhysicalState as exc:
-            out.append(exc.with_traceback(None))
-    if single:
-        if isinstance(out[0], NonPhysicalState):
-            raise out[0]
-        return out[0]
-    return out
+    out = [_invariants(q, detv) for q, detv in zip(arr.tolist(), smallmat.det(arr).tolist())]
+    return unstack(out) if single else out
 
 
-def _invariants(q, detv: float) -> EntanglementResult:
-    """log_negativity's checks and E_N from the rows q of V and det V."""
+def _invariants(q, detv: float) -> EntanglementResult | NonPhysicalState:
+    """log_negativity's result from the rows q of V and det V, or its failure."""
     det_a = q[0][0] * q[1][1] - q[0][1] * q[1][0]
     det_b = q[2][2] * q[3][3] - q[2][3] * q[3][2]
     det_c = q[0][2] * q[1][3] - q[0][3] * q[1][2]
@@ -84,7 +75,7 @@ def _invariants(q, detv: float) -> EntanglementResult:
     # eps below scales with Sigma^2, so an overflowed Sigma^2 would
     # excuse any excursion; such invariants cannot be classified
     if not math.isfinite(disc):
-        raise NonPhysicalState(
+        return NonPhysicalState(
             f"Sigma = {sigma:.6g}, det V = {detv:.6g}: Sigma^2 - 4 det V is "
             "not finite; the matrix is not a valid two-mode covariance"
         )
@@ -94,7 +85,7 @@ def _invariants(q, detv: float) -> EntanglementResult:
               - q[0][1] * (q[1][0] * q[2][2] - q[1][2] * q[2][0])
               + q[0][2] * (q[1][0] * q[2][1] - q[1][1] * q[2][0]))
     if not (q[0][0] > 0.0 and det_a > 0.0 and minor3 > 0.0 and detv > 0.0):
-        raise NonPhysicalState(
+        return NonPhysicalState(
             f"leading principal minors {q[0][0]:.6g}, {det_a:.6g}, "
             f"{minor3:.6g}, {detv:.6g}: the matrix is not positive definite, "
             "so it is not a physical two-mode covariance"
@@ -104,7 +95,7 @@ def _invariants(q, detv: float) -> EntanglementResult:
     # exactly when Delta >= 1/2 and 1/4 + 4 det V - Delta >= 0
     delta = det_a + det_b + 2.0 * det_c
     if not (delta >= 0.5 - eps and 0.25 + 4.0 * detv - delta >= -eps):
-        raise NonPhysicalState(
+        return NonPhysicalState(
             f"Delta = {delta:.6g}, det V = {detv:.6g}: the matrix breaks the "
             "uncertainty relation, so it is not a physical two-mode covariance"
         )

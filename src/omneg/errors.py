@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and per-row error codes."""
+"""Exception types shared across the package, per-row error codes, and unstack."""
 
 import enum
 
@@ -16,6 +16,7 @@ __all__ = [
     "NonPhysicalState",
     "NoEntanglementAtFloor",
     "NoDeathBelowCeiling",
+    "unstack",
 ]
 
 
@@ -98,6 +99,14 @@ class NonPhysicalState(PointFailure):
     """The reduced matrix is not a valid two-mode covariance matrix."""
 
     code = ErrorCode.NONPHYSICAL_STATE
+
+
+def unstack(entries):
+    """The one entry of a B = 1 stacked stage call; a PointFailure is raised."""
+    (entry,) = entries
+    if isinstance(entry, PointFailure):
+        raise entry
+    return entry
 
 
 class NoEntanglementAtFloor(OmnegError):

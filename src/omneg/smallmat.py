@@ -5,8 +5,8 @@ the public entry points in ``dynamics`` and ``entanglement``, and
 non-finite arithmetic is classified by their stage guards. Eigenvalues
 go through LAPACK, whose own finiteness check turns a non-finite matrix
 into EigenFailure; the elimination kernels are local so the pivot
-policy stays explicit. ``solve`` takes stacks of matrices along a
-leading axis; the other kernels take one matrix or a stack.
+policy stays explicit. ``solve`` and ``det`` take stacks of matrices
+along a leading axis; the other kernels take one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -88,17 +88,14 @@ def solve(a, b):
 
 
 def det(a):
-    """Determinant of a 4x4 matrix by pivoted elimination; overflow gives inf.
+    """Determinants of a (B, 4, 4) stack by pivoted elimination; overflow gives inf.
 
-    A stack (B, 4, 4) is eliminated in lockstep and gives an ndarray of
-    B determinants: every system takes its own pivots and sees the same
-    per-element operations as alone, so each equals the single call's
+    The systems are eliminated in lockstep and give an ndarray of B
+    determinants: every system takes its own pivots and sees the same
+    per-element operations as alone, so each equals its B = 1 call's
     float to the bit. A zero pivot gives 0.0 for its own system only.
     """
-    arr = np.asarray(a, dtype=float)
-    if arr.shape[-2:] != (4, 4) or arr.ndim not in (2, 3):
-        raise ValueError(f"det supports 4x4 matrices or stacks of them, got shape {arr.shape}")
-    work = np.array(arr[None] if arr.ndim == 2 else arr, dtype=float)
+    work = np.array(a, dtype=float)
     size = len(work)
     sign = np.ones(size)
     dead = np.zeros(size, dtype=bool)
@@ -121,7 +118,7 @@ def det(a):
             work[:, k + 1:, k + 1:] -= mult[:, :, None] * work[:, k, None, k + 1:]
         out = sign * work[:, 0, 0] * work[:, 1, 1] * work[:, 2, 2] * work[:, 3, 3]
     out[dead] = 0.0
-    return float(out[0]) if arr.ndim == 2 else out
+    return out
 
 
 def kron(a, b) -> np.ndarray:

@@ -74,23 +74,23 @@ STACK_ROWS = 32
 def run_stages(base: SystemParams, overrides) -> list[Stages]:
     """Run the pipeline at base with each override dict applied, one Stages each.
 
-    Stages: validation (``dataclasses.replace(base, **changes)``; a
-    rejected point fails with InvalidParams), steady state
+    Stages: validation (``SystemParams(**{**vars(base), **changes})``;
+    a rejected point fails with InvalidParams), steady state
     (params.derive), drift and diffusion, stability, steady covariance,
     negativity of its oscillator block. The first PointFailure stops a
     point's run and is kept in its record. Validation, steady state,
     drift and diffusion run point by point; the points that pass them
     go on in stacks of at most STACK_ROWS, in order, and each later
-    stage is one stacked call per stack. A point's record is the same
-    whatever other points share the call, except that a PointFailure
-    raised by a stacked call, rather than reported for one system,
-    fails every point of its stack.
+    stage is one stacked call per stack that returns each system's
+    output or failure. A point's record is the same whatever other
+    points share the call.
     """
     records = []
     pending = []
     for changes in overrides:
         try:
-            p = dataclasses.replace(base, **changes)
+            # vars(base) is exactly its fields; replace walks them per row
+            p = SystemParams(**{**vars(base), **changes})
         except ValueError as exc:
             records.append(Stages(failure=InvalidParams(str(exc))))
             continue
@@ -119,39 +119,24 @@ def _run_stack(pending, records) -> None:
     """Stability, covariance and E_N of the pending points, one stacked call each."""
     index, nbar, derived, ms, ds, scales = zip(*pending)
     ms, ds, scales = np.array(ms), np.array(ds), np.array(scales)
-    reports = _stacked(dynamics.stability, ms, scales)
-    # each point's latest stage output, or its failure
-    latest = []
-    for report in reports:
-        if isinstance(report, StabilityReport):
-            try:
-                report.require_stable()
-            except PointFailure as exc:
-                report = exc.with_traceback(None)
-        latest.append(report)
-    rows = [j for j, out in enumerate(latest) if isinstance(out, StabilityReport)]
-    if rows:
-        covariances = _stacked(dynamics.steady_covariance, ms[rows], ds[rows], scales[rows])
-        for j, v in zip(rows, covariances):
-            latest[j] = v
-        rows = [j for j in rows if not isinstance(latest[j], PointFailure)]
-    if rows:
-        blocks = np.array([latest[j][:4, :4] for j in rows])
-        for j, ent in zip(rows, _stacked(entanglement.log_negativity, blocks)):
-            latest[j] = ent
+    reports = dynamics.stability(ms, scales)
+    # each point's latest stage output or failure; an unstable report is no
+    # failure yet, so steady_covariance gets its row and returns one
+    latest = list(reports)
+    stages = (
+        lambda rows: dynamics.steady_covariance(ms[rows], ds[rows], scales[rows]),
+        lambda rows: entanglement.log_negativity(np.array([latest[j][:4, :4] for j in rows])),
+    )
+    for stage in stages:
+        rows = [j for j, out in enumerate(latest) if not isinstance(out, PointFailure)]
+        if rows:
+            for j, out in zip(rows, stage(rows)):
+                latest[j] = out
     for j, out in enumerate(latest):
         failed = isinstance(out, PointFailure)
         report = reports[j] if isinstance(reports[j], StabilityReport) else None
         records[index[j]] = Stages(nbar[j], derived[j], report,
                                    None if failed else out, out if failed else None)
-
-
-def _stacked(call, *stacks) -> list:
-    """call(*stacks), one entry per system; a PointFailure it raises is every entry."""
-    try:
-        return call(*stacks)
-    except PointFailure as exc:
-        return [exc.with_traceback(None)] * len(stacks[0])
 
 
 class PointResult(typing.NamedTuple):

@@ -1,4 +1,4 @@
-"""Valid points, grid points, README's library chain and numpy oracles for the tests.
+"""Valid points, grid points, README's library chain, numpy oracles and a strict JSON reader.
 
 Each oracle reaches its verdict by a route that shares no code with the
 check it tests: eigenvalues of V + i Omega/2 for the uncertainty
@@ -9,6 +9,7 @@ and the time integral of dV/dt for the steady Lyapunov solve.
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -43,6 +44,15 @@ def grid_points(base, axes, results):
         (dataclasses.replace(base, **dict(zip(names, combo))), result)
         for combo, result in zip(combos, results, strict=True)
     ]
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, tokens RFC 8259 does not have."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON token")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # symplectic form of the two oscillators in (q1, p1, q2, p2) order

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import stat
@@ -8,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from omneg import cli, config, errors, sweep
 
 TWO_PI = 2.0 * math.pi
@@ -25,7 +25,7 @@ def test_point_json_schema(capsys):
         capsys, ["point", "--set", "coulomb_lambda=0.95 * omega_m1"]
     )
     assert code == 0 and err == ""
-    doc = json.loads(out)
+    doc = oracles.strict_json(out)
     assert set(doc) == {"params", "derived", "stability", "entanglement", "error"}
     assert doc["error"] is None
     assert doc["params"]["coulomb_lambda"] == pytest.approx(0.95 * OMEGA, rel=1e-15)
@@ -49,7 +49,7 @@ def test_point_reads_config_and_set_wins(tmp_path, capsys):
         ["point", "--config", str(cfg), "--set", "power=0.08"],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = oracles.strict_json(out)
     assert doc["params"]["power"] == 0.08
     assert doc["params"]["temperature"] == 0.008
 
@@ -65,7 +65,7 @@ def test_point_physics_failure_is_exit_zero(capsys):
         ],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = oracles.strict_json(out)
     assert doc["error"]["name"] == "ThresholdSingularity"
     assert doc["derived"] is None and doc["entanglement"] is None
 
@@ -80,7 +80,7 @@ def test_point_unstable_keeps_stability_block(capsys):
         ],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = oracles.strict_json(out)
     assert doc["error"]["name"] == "UnstableSystem"
     assert doc["stability"]["stable"] is False
     assert doc["entanglement"] is None
@@ -99,10 +99,21 @@ def test_point_underflowing_temperature_matches_zero(capsys):
             ],
         )
         assert code == 0 and err == ""
-        docs.append(json.loads(out))
+        docs.append(oracles.strict_json(out))
     assert [doc["error"] for doc in docs] == [None, None]
     assert docs[1]["derived"]["nbar"] == 0.0
     assert docs[1]["entanglement"] == docs[0]["entanglement"]
+
+
+def test_point_spells_non_finite_floats_as_the_csv_does(capsys):
+    # at 1e300 W the drive overflows to inf and |c_s|^2 leaves the field
+    # NaN; JSON has no token for either, so they print as the CSV cells do
+    code, out, _ = run_cli(capsys, ["point", "--set", "power=1e300"])
+    assert code == 0
+    doc = oracles.strict_json(out)
+    assert doc["derived"]["drive_E"] == "inf"
+    assert doc["derived"]["c_s_re"] == doc["derived"]["g_m"] == "nan"
+    assert doc["error"]["name"] == "EigenFailure"
 
 
 def test_point_rejects_axes_in_config(tmp_path, capsys):
@@ -201,7 +212,7 @@ def test_overflowing_stage_reports_its_code(tmp_path, capsys, lines, codes):
     if len(codes) == 1:
         code, text, _ = run_cli(capsys, ["point", "--config", str(cfg)])
         assert code == 0
-        assert getattr(errors, json.loads(text)["error"]["name"]).code == codes[0]
+        assert getattr(errors, oracles.strict_json(text)["error"]["name"]).code == codes[0]
 
 
 def test_sweep_unwritable_out_is_io_error(tmp_path, capsys):
@@ -327,21 +338,21 @@ def test_critical_temp_success_and_guards(tmp_path, capsys):
         ["critical-temp", "--config", str(cfg), "--t-hi", "0.064"],
     )
     assert code == 0
-    doc = json.loads(out)
+    doc = oracles.strict_json(out)
     assert doc["critical_temperature"] == pytest.approx(0.030511, abs=5e-4)
 
     bare = tmp_path / "bare.cfg"
     bare.write_text("base.power = 0.05\n")
     code, out, _ = run_cli(capsys, ["critical-temp", "--config", str(bare)])
     assert code == 0
-    assert json.loads(out)["error"] == "NoEntanglementAtFloor"
+    assert oracles.strict_json(out)["error"] == "NoEntanglementAtFloor"
 
     code, out, _ = run_cli(
         capsys,
         ["critical-temp", "--config", str(cfg), "--t-hi", "0.002"],
     )
     assert code == 0
-    assert json.loads(out)["error"] == "NoDeathBelowCeiling"
+    assert oracles.strict_json(out)["error"] == "NoDeathBelowCeiling"
 
     # bad bracket arguments are usage errors, not physics outcomes
     code, _, err = run_cli(
@@ -374,7 +385,7 @@ def test_module_entry_point(tmp_path):
         env=_child_env(),
     )
     assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
+    doc = oracles.strict_json(proc.stdout)
     assert doc["stability"]["stable"] is True
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import pathlib
 import re
@@ -138,7 +137,7 @@ def test_tiny_negative_discriminant_is_clamped():
     s[2:, 2:] = rot(0.625)
     v4 = s @ np.block([[np.eye(2), 0.3 * np.eye(2)], [0.3 * np.eye(2), np.eye(2)]]) @ s.T
     res = entanglement.log_negativity(v4)
-    assert res.sigma * res.sigma - 4.0 * smallmat.det(v4) < 0.0
+    assert res.sigma * res.sigma - 4.0 * smallmat.det(v4[None])[0] < 0.0
     assert res.varrho == pytest.approx(math.sqrt(0.91), rel=1e-12)
     assert res.log_negativity == 0.0 and not res.entangled
 
@@ -160,7 +159,7 @@ def test_state_below_zero_point_motion_is_unphysical(capsys):
     point = ["coulomb_lambda_in_omega_m=0.5", "detuning_in_omega_m=2",
              "power=0.0625", "temperature=0"]
     assert cli.main(["point", *(a for kv in point for a in ("--set", kv))]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = oracles.strict_json(capsys.readouterr().out)
     assert out["error"]["name"] == "NonPhysicalState"
     _, _, v = oracles.readme_chain(SystemParams(**out["params"]))
     assert oracles.uncertainty_margin(v[:4, :4]) == pytest.approx(-0.0093, abs=5e-4)

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import math
 import types
 
@@ -103,17 +102,18 @@ def test_stage_failure_maps_to_row_json_and_search(
     def fail(*args, **kwargs):
         raise exc("injected")
 
-    def fail_rows(m, d, omega_scale):
-        # a stacked covariance reports each system's failure in its entry
-        return [exc("injected") for _ in m]
+    def fail_rows(stack, *args):
+        # a stacked stage reports each system's failure in its entry
+        return [exc("injected") for _ in stack]
 
-    monkeypatch.setattr(module, stage, fail_rows if stage == "steady_covariance" else fail)
+    stacked = module in (dynamics, entanglement)
+    monkeypatch.setattr(module, stage, fail_rows if stacked else fail)
     r = sweep.evaluate_point(strong_point())
     assert r.error_code == code and exc.code == code
     assert {c for c in ROW_COLS if getattr(r, c) is not None} == set(cols)
 
     assert cli.main(["point", "--set", "coulomb_lambda_in_omega_m=0.95"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = oracles.strict_json(capsys.readouterr().out)
     assert out["error"] == {"name": exc.__name__, "detail": "injected"}
     filled = {k for k, v in out.items() if v is not None}
     assert filled == {"params", "error", *blocks}
@@ -288,24 +288,28 @@ def same_record(a: sweep.Stages, b: sweep.Stages) -> bool:
 
 
 # (code, coulomb_lambda / omega_m, detuning / omega_m, opa_gain, power
-# range): red-detuned and below threshold (0), coupling at or past the
-# normal-mode bound sqrt(omega_m1 * omega_m2) (1), on resonance above
-# the pump threshold (2), a drive so strong that |c_s|^2 overflows and
-# the drift holds inf (4), blue-detuned and unstable (5)
+# range, temperature range): red-detuned and below threshold (0),
+# coupling at or past the normal-mode bound sqrt(omega_m1 * omega_m2)
+# (1), on resonance above the pump threshold (2), a drive so strong that
+# |c_s|^2 overflows and the drift holds inf (4), blue-detuned and
+# unstable (5), a bath so hot that the covariance overflows (6), and one
+# whose symplectic invariants overflow (7)
 POINT_KINDS = (
-    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1)),
-    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1)),
-    (1, (1.0, 1.5), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1)),
-    (2, (-0.98, 0.98), (0.0, 0.05), (5e7, 2e8), (0.01, 0.1)),
-    (4, (-0.98, 0.98), (-1.5, 2.0), (0.0, 4e7), (1e300, 1e308)),
-    (5, (-0.98, 0.98), (-1.5, -0.3), (0.0, 4e7), (0.01, 0.1)),
+    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1), (0.0, 0.05)),
+    (0, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1), (0.0, 0.05)),
+    (1, (1.0, 1.5), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1), (0.0, 0.05)),
+    (2, (-0.98, 0.98), (0.0, 0.05), (5e7, 2e8), (0.01, 0.1), (0.0, 0.05)),
+    (4, (-0.98, 0.98), (-1.5, 2.0), (0.0, 4e7), (1e300, 1e308), (0.0, 0.05)),
+    (5, (-0.98, 0.98), (-1.5, -0.3), (0.0, 4e7), (0.01, 0.1), (0.0, 0.05)),
+    (6, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1), (1e300, 1e305)),
+    (7, (-0.98, 0.98), (0.3, 2.0), (0.0, 4e7), (0.01, 0.1), (1e200, 1e250)),
 )
 
 
 @st.composite
 def coded_points(draw):
     """(code, overrides of the default SystemParams) for one point."""
-    code, (l_lo, l_hi), (d_lo, d_hi), (g_lo, g_hi), (p_lo, p_hi) = draw(
+    code, (l_lo, l_hi), (d_lo, d_hi), (g_lo, g_hi), (p_lo, p_hi), (t_lo, t_hi) = draw(
         st.sampled_from(POINT_KINDS))
     changes = {
         "coulomb_lambda": draw(st.floats(l_lo, l_hi)) * OMEGA,
@@ -313,7 +317,7 @@ def coded_points(draw):
         "opa_gain": draw(st.floats(g_lo, g_hi)),
         "opa_phase": draw(st.floats(-math.pi, math.pi)),
         "power": draw(st.floats(p_lo, p_hi)),
-        "temperature": draw(st.floats(0.0, 0.05)),
+        "temperature": draw(st.floats(t_lo, t_hi)),
     }
     return code, changes
 
