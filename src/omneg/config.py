@@ -27,7 +27,7 @@ import re
 import numpy as np
 
 from .errors import ConfigError
-from .params import SystemParams
+from .params import PARAM_NAMES, SystemParams
 
 __all__ = [
     "PARAM_NAMES",
@@ -39,7 +39,6 @@ __all__ = [
     "apply_overrides",
 ]
 
-PARAM_NAMES = tuple(f.name for f in dataclasses.fields(SystemParams))
 # largest linspace count and largest grid (product of axis lengths)
 # accepted; the biggest built-in dataset, fig3, has 2,406 points
 MAX_GRID_POINTS = 1_000_000

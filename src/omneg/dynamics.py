@@ -185,7 +185,7 @@ def steady_covariance(m, d, omega_scale):
            for r in stability(marr, omega_scale)]
     solved = [i for i, v in enumerate(out) if v is None]
     if solved:
-        ms, ds = (marr, darr) if len(solved) == len(out) else (marr[solved], darr[solved])
+        ms, ds = marr[solved], darr[solved]
         n = ms.shape[-1]
         eye = np.eye(n)
         # huge entries overflow the Kronecker sum, the pivot threshold or

@@ -81,7 +81,7 @@ class SystemParams:
     temperature: float = 4.0e-3
 
     def __post_init__(self) -> None:
-        for name in _FIELD_NAMES:
+        for name in PARAM_NAMES:
             value = getattr(self, name)
             exact = type(value) is float
             if not exact and (not isinstance(value, (int, float)) or isinstance(value, bool)):
@@ -104,8 +104,8 @@ class SystemParams:
             )
 
 
-# the field names, in order, for __post_init__'s per-row checks
-_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(SystemParams))
+# the field names in order: __post_init__ checks them, configs and axes set them
+PARAM_NAMES = tuple(field.name for field in dataclasses.fields(SystemParams))
 
 
 def reference_params(**overrides) -> SystemParams:

@@ -4,9 +4,10 @@ Callers pass float64 ndarrays of the right shape; validation belongs to
 the public entry points in ``dynamics`` and ``entanglement``, and
 non-finite arithmetic is classified by their stage guards. Eigenvalues
 go through LAPACK, whose own finiteness check turns a non-finite matrix
-into EigenFailure; the elimination kernels are local so the pivot
-policy stays explicit. ``solve`` and ``det`` take stacks of matrices
-along a leading axis; the other kernels take one matrix or a stack.
+into EigenFailure. One local lockstep elimination, ``_eliminate``, serves
+``solve`` and ``det``, so the pivot policy is explicit and written once.
+They take stacks of matrices along a leading axis; the other kernels
+take one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -35,47 +36,60 @@ def eigenvalues(a) -> np.ndarray:
     return np.asarray(w, dtype=complex)
 
 
+def _eliminate(work, n):
+    """Eliminate the first n columns of a (B, n, m) stack in place, in lockstep.
+
+    At column k each system swaps in its own row of largest magnitude,
+    then subtracts multiples of row k from the rows below in columns k+1
+    on. Each system sees the same per-element operations as alone, and
+    each pivot stays on the diagonal. Returns each step's (B,) pivot
+    offsets below row k, nonzero where a system swapped. work must be
+    C-contiguous, so that its flat rows are a view; callers hold
+    np.errstate, and a zero pivot's NaN and inf stay in its own rows.
+    """
+    rows = work.reshape(-1, work.shape[2])
+    # row_k[k] holds the flat index of row k of every system
+    row_k = np.arange(n)[:, None] + np.arange(0, len(work) * n, n)
+    offsets = []
+    # the last column has no row below it to swap or update
+    for k in range(n - 1):
+        p = np.abs(work[:, k:, k]).argmax(axis=1)
+        offsets.append(p)
+        if np.count_nonzero(p):
+            flat = p + row_k[k]
+            pivot_row = rows[flat]
+            rows[flat] = work[:, k]
+            work[:, k] = pivot_row
+        mult = work[:, k + 1:, k, None] / work[:, k, None, k, None]
+        work[:, k + 1:, k + 1:] -= mult * work[:, k, None, k + 1:]
+    return offsets
+
+
 def solve(a, b):
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    a is a stack (B, n, n) with b of shape (B, n); its systems are
-    eliminated in lockstep: every system takes its own pivots and sees
-    the same per-element operations as when solved alone, so its x is
-    the same to the bit. A pivot magnitude below PIVOT_RTOL * ||A||_inf
-    marks a system singular at the first column where it happens.
-    Returns (x, failures), failures[i] being the SingularSolve of
-    system i or None; the rows of x for failed systems are meaningless.
+    a is a stack (B, n, n) and b is (B, n). ``_eliminate`` runs the
+    systems in lockstep, so each x is its system's x alone to the bit. A
+    pivot below PIVOT_RTOL * ||A||_inf marks a system singular at the
+    first such column. Returns (x, failures): failures[i] is system i's
+    SingularSolve or None, and a failed system's x is meaningless.
     """
     arr = np.asarray(a, dtype=float)
     size, n, _ = arr.shape
-    # b rides along as column n, so row swaps and updates carry it with
-    # the same operations as the matrix
+    # b rides along as column n, through the same swaps and updates
     work = np.empty((size, n, n + 1))
     work[:, :, :n] = arr
     work[:, :, n] = b
     threshold = PIVOT_RTOL * np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
-    rows = work.reshape(size * n, n + 1)
-    # row_k[k] holds the flat index of row k of every system
-    row_k = np.arange(n)[:, None] + np.arange(0, size * n, n)
-    # a singular system divides by a zero or tiny pivot; its NaN and inf
-    # stay in its own rows, and the pivot test below reports it
+    # the pivot test below reports a system that divided by a tiny pivot
     with np.errstate(all="ignore"):
-        for k in range(n):
-            p = np.abs(work[:, k:, k]).argmax(axis=1)
-            if np.count_nonzero(p):
-                p += row_k[k]
-                pivot_row = rows[p]
-                rows[p] = work[:, k]
-                work[:, k] = pivot_row
-            mult = work[:, k + 1:, k, None] / work[:, k, None, k, None]
-            work[:, k + 1:, k + 1:] -= mult * work[:, k, None, k + 1:]
+        _eliminate(work, n)
         x = work[:, :, n].copy()
         x_col = x[:, :, None]
         for k in range(n - 1, -1, -1):
             # (1, k) @ (k, 1) per system reduces as the 1-D dot product does
             dot = work[:, k, None, k + 1:n] @ x_col[:, k + 1:]
             x[:, k] = (x[:, k] - dot[:, 0, 0]) / work[:, k, k]
-    # each pivot stays on the diagonal once its column is eliminated
     pivots = work[:, range(n), range(n)]
     bad = (np.abs(pivots) < threshold[:, None]) | (pivots == 0.0)
     failures = [None] * size
@@ -90,34 +104,15 @@ def solve(a, b):
 def det(a):
     """Determinants of a (B, 4, 4) stack by pivoted elimination; overflow gives inf.
 
-    The systems are eliminated in lockstep and give an ndarray of B
-    determinants: every system takes its own pivots and sees the same
-    per-element operations as alone, so each equals its B = 1 call's
-    float to the bit. A zero pivot gives 0.0 for its own system only.
+    ``_eliminate`` runs the systems in lockstep, so each of the B
+    determinants equals its B = 1 call's float to the bit. A zero pivot
+    in the first three columns gives 0.0 for its own system only.
     """
-    work = np.array(a, dtype=float)
-    size = len(work)
-    sign = np.ones(size)
-    dead = np.zeros(size, dtype=bool)
-    rows = work.reshape(size * 4, 4)
-    # row_k[k] holds the flat index of row k of every system
-    row_k = np.arange(4)[:, None] + np.arange(0, size * 4, 4)
-    # a system with a zero pivot divides by it; its NaN and inf stay in
-    # its own rows and its determinant is set to 0.0 below
+    work = np.array(a, dtype=float, order="C")
     with np.errstate(all="ignore"):
-        for k in range(3):
-            p = np.abs(work[:, k:, k]).argmax(axis=1)
-            dead |= work[range(size), p + k, k] == 0.0
-            if np.count_nonzero(p):
-                sign[p != 0] *= -1.0
-                p += row_k[k]
-                pivot_row = rows[p]
-                rows[p] = work[:, k]
-                work[:, k] = pivot_row
-            mult = work[:, k + 1:, k] / work[:, k, None, k]
-            work[:, k + 1:, k + 1:] -= mult[:, :, None] * work[:, k, None, k + 1:]
+        sign = (-1.0) ** sum(p != 0 for p in _eliminate(work, 4))
         out = sign * work[:, 0, 0] * work[:, 1, 1] * work[:, 2, 2] * work[:, 3, 3]
-    out[dead] = 0.0
+    out[(work[:, range(3), range(3)] == 0.0).any(axis=1)] = 0.0
     return out
 
 

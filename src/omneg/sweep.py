@@ -13,7 +13,7 @@ import typing
 import numpy as np
 
 from . import dynamics, entanglement, params as params_mod
-from .config import MAX_GRID_POINTS, PARAM_NAMES, parse_config
+from .config import MAX_GRID_POINTS, parse_config
 from .dynamics import StabilityReport
 from .entanglement import EntanglementResult
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     NoEntanglementAtFloor,
     PointFailure,
 )
-from .params import DerivedQuantities, SystemParams
+from .params import PARAM_NAMES, DerivedQuantities, SystemParams
 
 __all__ = [
     "ErrorCode",
@@ -261,7 +261,7 @@ def write_csv(path, axes, results) -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow([name for name, _ in axes] + list(CSV_COLUMNS))
             combos = itertools.product(*(values for _, values in axes))
-            for combo, result in zip(combos, results):
+            for combo, result in zip(combos, results, strict=True):
                 writer.writerow([_fmt(v) for v in (*combo, *result)])
         os.replace(tmp, path)
     except BaseException:

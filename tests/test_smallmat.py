@@ -133,6 +133,24 @@ def test_det_stack_matches_single_calls_bit_for_bit():
     assert np.array_equal(got.view(np.int64), single.view(np.int64))
 
 
+
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+def test_det_sign_per_system_in_mixed_stack(layout):
+    # permutations needing 0, 1, 2 and 3 row swaps have determinants
+    # +1, -1, +1, -1 exactly, interleaved with random systems; a
+    # transposed stack is not C-contiguous and has the same determinants
+    perms = [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 3, 2), (3, 0, 1, 2)]
+    rng = np.random.default_rng(23)
+    randoms = rng.standard_normal((4, 4, 4))
+    stack = np.empty((8, 4, 4))
+    stack[0::2] = [np.eye(4)[list(perm)] for perm in perms]
+    stack[1::2] = randoms
+    if layout == "transposed":
+        stack = stack.transpose(0, 2, 1)
+    got = smallmat.det(stack)
+    assert list(got[0::2]) == [1.0, -1.0, 1.0, -1.0]
+    assert got[1::2] == pytest.approx(np.linalg.det(randoms), rel=1e-12)
+
 @pytest.mark.filterwarnings("error")
 def test_det_stack_zero_pivot_is_zero_alone():
     # the zero column meets a zero pivot at k = 1, whose division stays

@@ -427,6 +427,20 @@ def test_csv_layout_and_roundtrip(tmp_path):
     assert bad_cells[7] == "" and bad_cells[8] == "" and bad_cells[9] == ""
 
 
+
+@pytest.mark.parametrize("points, rows", [(3, 2), (1, 3)])
+def test_csv_results_must_match_the_grid(tmp_path, points, rows):
+    # too few results would drop grid points and too many would be cut
+    # off; either way the existing table keeps its bytes
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"previous table\n")
+    axes = [("detuning", tuple(OMEGA * (1 + i) / 4 for i in range(points)))]
+    results = sweep.run_sweep(params.reference_params(), [("detuning", (OMEGA,) * rows)])
+    with pytest.raises(ValueError):
+        sweep.write_csv(out, axes, results)
+    assert out.read_bytes() == b"previous table\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
 def test_figure_spec_families():
     w = OMEGA
     base, axes = sweep.figure_spec("fig2")
