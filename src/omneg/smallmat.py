@@ -68,29 +68,40 @@ def _eliminate(work, n):
 def solve(a, b):
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    a is a stack (B, n, n) and b is (B, n). ``_eliminate`` runs the
-    systems in lockstep, so each x is its system's x alone to the bit. A
-    pivot below PIVOT_RTOL * ||A||_inf marks a system singular at the
-    first such column. Returns (x, failures): failures[i] is system i's
-    SingularSolve or None, and a failed system's x is meaningless.
+    a is a stack (B, n, n). b is (B, n), one right-hand side per system,
+    or (B, r, n), r of them; x has b's shape. ``_eliminate`` runs the
+    systems in lockstep, and each right-hand side rides along as its own
+    column, whose operations depend only on its system's matrix. So each
+    x is its system's x for that b alone to the bit, and r right-hand
+    sides cost one elimination. A pivot below PIVOT_RTOL * ||A||_inf
+    marks a system singular at the first such column. Returns (x,
+    failures): failures[i] is system i's SingularSolve or None, and a
+    failed system's x is meaningless.
     """
     arr = np.asarray(a, dtype=float)
+    rhs = np.asarray(b, dtype=float)
+    one = rhs.ndim == 2
+    if one:
+        rhs = rhs[:, None]
     size, n, _ = arr.shape
-    # b rides along as column n, through the same swaps and updates
-    work = np.empty((size, n, n + 1))
+    # b rides along as columns n on, through the same swaps and updates
+    work = np.empty((size, n, n + rhs.shape[1]))
     work[:, :, :n] = arr
-    work[:, :, n] = b
+    work[:, :, n:] = rhs.transpose(0, 2, 1)
     threshold = PIVOT_RTOL * np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
     # the pivot test below reports a system that divided by a tiny pivot
     with np.errstate(all="ignore"):
         _eliminate(work, n)
-        x = work[:, :, n].copy()
-        x_col = x[:, :, None]
+        pivots = work[:, range(n), range(n)]
+        # x[i, j] is system i's solution for its j-th right-hand side, and
+        # flat lists them all, each beside its own system's pivots
+        x = work[:, :, n:].transpose(0, 2, 1).copy()
+        flat, x_col = x.reshape(-1, n), x[..., None]
+        flat_pivots = np.repeat(pivots, x.shape[1], axis=0)
         for k in range(n - 1, -1, -1):
-            # (1, k) @ (k, 1) per system reduces as the 1-D dot product does
-            dot = work[:, k, None, k + 1:n] @ x_col[:, k + 1:]
-            x[:, k] = (x[:, k] - dot[:, 0, 0]) / work[:, k, k]
-    pivots = work[:, range(n), range(n)]
+            # (1, k) @ (k, 1) per right-hand side reduces as the 1-D dot product does
+            dot = work[:, None, k, None, k + 1:n] @ x_col[:, :, k + 1:]
+            flat[:, k] = (flat[:, k] - dot.ravel()) / flat_pivots[:, k]
     bad = (np.abs(pivots) < threshold[:, None]) | (pivots == 0.0)
     failures = [None] * size
     for i in np.flatnonzero(bad.any(axis=1)):
@@ -98,7 +109,7 @@ def solve(a, b):
         failures[i] = SingularSolve(
             f"pivot {pivots[i, k]:.3e} below {threshold[i]:.3e} in column {k}"
         )
-    return x, failures
+    return (x[:, 0] if one else x), failures
 
 
 def det(a):

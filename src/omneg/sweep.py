@@ -326,6 +326,9 @@ def figure_spec(which: str):
 
 
 _COARSE_SCAN_POINTS = 32
+# bisection steps whose possible midpoints share one run_stages call: at
+# most 2**3 - 1 = 7 temperatures, all with one drift matrix
+_BISECTION_LEVELS = 3
 
 
 def critical_temperature(
@@ -336,10 +339,14 @@ def critical_temperature(
     A 32-point coarse scan over [t_lo, t_hi], one run_stages call,
     brackets the last positive-to-zero crossing, then bisection narrows
     it to width tol or to float resolution, whichever comes first; the
-    bracket midpoint comes back. Raises NoEntanglementAtFloor when
-    E_N(t_lo) = 0 and NoDeathBelowCeiling when E_N(t_hi) > 0; pipeline
-    failures at any probed temperature propagate. The floor is judged
-    first, then the ceiling, then the interior points.
+    bracket midpoint comes back. Each later run_stages call evaluates
+    every midpoint the next three bisection steps could probe, and the
+    steps then read the ones on their path: temperature enters only the
+    diffusion, so those rows share one elimination. Raises
+    NoEntanglementAtFloor when E_N(t_lo) = 0 and NoDeathBelowCeiling
+    when E_N(t_hi) > 0; pipeline failures at any probed temperature
+    propagate, and a failure at a midpoint off the path does not. The
+    floor is judged first, then the ceiling, then the interior points.
     """
     if not (0.0 < t_lo < t_hi < math.inf):
         raise ValueError(f"need 0 < t_lo < t_hi < inf, got {t_lo}, {t_hi}")
@@ -365,12 +372,34 @@ def critical_temperature(
     for i in range(_COARSE_SCAN_POINTS - 1):
         if values[i] > 0.0 and values[i + 1] <= 0.0:
             lo, hi = float(grid[i]), float(grid[i + 1])
+    probed = {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent floats
-        if at([mid])[0].checked_en() > 0.0:
+        if mid not in probed:
+            levels = _bisection_levels(lo, hi, tol)
+            probed = dict(zip(levels, at(levels)))
+        if probed[mid].checked_en() > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bisection_levels(lo: float, hi: float, tol: float) -> list[float]:
+    """Every midpoint the next _BISECTION_LEVELS bisection steps from [lo, hi] could probe.
+
+    Level by level, with the bisection's own midpoint and stop tests, so
+    the path it takes is among them.
+    """
+    levels, brackets = [], [(lo, hi)]
+    for _ in range(_BISECTION_LEVELS):
+        halves = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            if b - a > tol and a < mid < b:
+                levels.append(mid)
+                halves += [(a, mid), (mid, b)]
+        brackets = halves
+    return levels

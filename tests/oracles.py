@@ -4,7 +4,9 @@ Each oracle reaches its verdict by a route that shares no code with the
 check it tests: eigenvalues of V + i Omega/2 for the uncertainty
 relation, eigenvalues of i Omega V for the symplectic spectrum, the
 Routh-Hurwitz minors of the characteristic polynomial for stability,
-and the time integral of dV/dt for the steady Lyapunov solve.
+and the time integral of dV/dt for the steady Lyapunov solve. The
+critical-temperature search has a sequential twin that probes one
+temperature per pipeline run.
 """
 
 import dataclasses
@@ -15,7 +17,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from omneg import SystemParams, build_diffusion, build_drift, derive, steady_covariance
+from omneg import SystemParams, build_diffusion, build_drift, derive, steady_covariance, sweep
+from omneg.errors import NoDeathBelowCeiling, NoEntanglementAtFloor
 
 OMEGA = 2.0 * math.pi * 1e8
 
@@ -137,3 +140,34 @@ def evolve_covariance(m, d, v0, t_end: float, dt: float) -> np.ndarray:
     total = np.linalg.matrix_power(step, nsteps)
     out = (total[:-1, :-1] @ v0.ravel() + total[:-1, -1]).reshape(n, n)
     return 0.5 * (out + out.T)
+
+
+def sequential_critical_temperature(p, t_lo, t_hi, tol):
+    """sweep.critical_temperature with one run_stages call per bisection probe.
+
+    The same 32-point scan and guards, then one B = 1 ``sweep.run_stages``
+    call per midpoint, looked up at call time so a test can wrap it.
+    """
+
+    def at(temperatures):
+        return sweep.run_stages(p, [{"temperature": t} for t in temperatures])
+
+    grid = np.linspace(t_lo, t_hi, 32)
+    scan = at(grid.tolist())
+    if scan[0].checked_en() <= 0.0:
+        raise NoEntanglementAtFloor(f"no entanglement at the floor temperature {t_lo} K")
+    if scan[-1].checked_en() > 0.0:
+        raise NoDeathBelowCeiling(f"entanglement survives at the ceiling temperature {t_hi} K")
+    values = [stages.checked_en() for stages in scan]
+    for i in range(31):
+        if values[i] > 0.0 and values[i + 1] <= 0.0:
+            lo, hi = float(grid[i]), float(grid[i + 1])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if at([mid])[0].checked_en() > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -85,13 +85,18 @@ def test_diffusion_zero_temperature():
 
 
 def test_diffusion_second_bath_uses_omega_m2():
-    p = params.reference_params(omega_m2=2.0 * params.reference_params().omega_m1)
-    d = dynamics.build_diffusion(p)
-    n1 = params.thermal_occupation(p.omega_m1, p.temperature)
-    n2 = params.thermal_occupation(p.omega_m2, p.temperature)
-    assert 0.0 < n2 < n1
-    assert d[1, 1] == p.gamma_m1 * (2.0 * n1 + 1.0)
-    assert d[3, 3] == p.gamma_m2 * (2.0 * n2 + 1.0)
+    omega_m2 = 2.0 * params.reference_params().omega_m1
+    # equal dampings, then distinct ones, so each bath's damping is its own
+    for p in (
+        params.reference_params(omega_m2=omega_m2),
+        params.reference_params(omega_m2=omega_m2, gamma_m1=500.0, gamma_m2=70.0),
+    ):
+        d = dynamics.build_diffusion(p)
+        n1 = params.thermal_occupation(p.omega_m1, p.temperature)
+        n2 = params.thermal_occupation(p.omega_m2, p.temperature)
+        assert 0.0 < n2 < n1
+        assert d[1, 1] == p.gamma_m1 * (2.0 * n1 + 1.0)
+        assert d[3, 3] == p.gamma_m2 * (2.0 * n2 + 1.0)
 
 
 def test_stability_minus_identity():
@@ -272,6 +277,38 @@ def test_steady_covariance_stack_reports_failures_per_system():
     for i in (0, 2, 4):
         alone = dynamics.steady_covariance(m[i], d[i], omega_scale=1.0)
         assert np.array_equal(got[i], alone)
+
+
+@pytest.mark.filterwarnings("error")
+def test_steady_covariance_repeated_drifts_give_each_row_as_alone():
+    # rows with one drift share its elimination: a stable drift with four
+    # diffusions, a singular system twice, and the drifts at Coulomb
+    # coupling 0.0 and -0.0, equal under == but not byte for byte
+    ms, ds = stable_pairs(2, seed=37)
+    _, extra = stable_pairs(3, seed=41)
+    singular = np.diag([-1.0] * 5 + [-1e-320])
+    signed = [params.reference_params(coulomb_lambda=lam) for lam in (0.0, -0.0)]
+    plus, minus = (dynamics.build_drift(p, params.derive(p).g_m) for p in signed)
+    assert np.array_equal(plus, minus)
+    assert not np.array_equal(plus.view(np.int64), minus.view(np.int64))
+    d0 = dynamics.build_diffusion(signed[0])
+    rows = [
+        (ms[0], ds[0], 1.0), (plus, d0, signed[0].omega_m1), (ms[0], extra[0], 1.0),
+        (singular, np.eye(6), 1e-320), (ms[1], ds[1], 1.0), (ms[0], extra[1], 1.0),
+        (minus, d0, signed[1].omega_m1), (singular, 2.0 * np.eye(6), 1e-320),
+        (ms[0], extra[2], 1.0), (plus, 2.0 * d0, signed[0].omega_m1),
+    ]
+    m, d, scales = (np.array(col) for col in zip(*rows))
+    got = dynamics.steady_covariance(m, d, scales)
+    assert got[3] is not got[7]
+    for (mi, di, scale), out in zip(rows, got):
+        try:
+            alone = dynamics.steady_covariance(mi, di, omega_scale=scale)
+        except PointFailure as exc:
+            assert type(out) is type(exc) and str(out) == str(exc)
+        else:
+            assert np.array_equal(out.view(np.int64), alone.view(np.int64))
+    assert [type(out) for out in got].count(SingularSolve) == 2
 
 
 def test_steady_covariance_stack_needs_one_scale_per_system():

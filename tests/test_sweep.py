@@ -346,6 +346,19 @@ def test_any_batch_gives_each_row_as_alone(coded):
         assert same_record(record, sweep.run_stages(base, [changes])[0])
 
 
+def test_temperature_only_batch_gives_each_row_as_alone():
+    # rows that differ only in temperature share one drift matrix and so
+    # one elimination; repeats, T = 0 and a covariance overflow (code 6)
+    # ride along
+    temperatures = [0.03, 1e-3, 0.03, 0.064, 1e300, 1e-3, 0.0, 0.03, 1e300]
+    overrides = [{"temperature": t} for t in temperatures]
+    batch = sweep.run_stages(fig5a_base(), overrides)
+    assert [0 if r.failure is None else r.failure.code for r in batch] == [
+        0, 0, 0, 0, 6, 0, 0, 0, 6]
+    for changes, record in zip(overrides, batch):
+        assert same_record(record, sweep.run_stages(fig5a_base(), [changes])[0])
+
+
 @pytest.mark.parametrize("rows", [1, sweep.STACK_ROWS, sweep.STACK_ROWS + 1])
 def test_run_sweep_rows_do_not_depend_on_workers(rows):
     # every detuning comes at a valid coupling and at one past the
@@ -530,17 +543,91 @@ def probed_temperatures(monkeypatch, limit=500):
     return calls
 
 
+def search_probes(monkeypatch, search):
+    """(T_c, temperatures of each run_stages call) of the T_C_REF search."""
+    with monkeypatch.context() as patch:
+        calls = probed_temperatures(patch)
+        t_c = search(fig5a_base(), 1e-3, 0.064, 1e-5)
+    return t_c, calls
+
+
+def sequential_path(monkeypatch):
+    """The sequential search's bisection probes, one run_stages call each."""
+    _, (_, *probes) = search_probes(monkeypatch, oracles.sequential_critical_temperature)
+    assert all(len(c) == 1 for c in probes)
+    return [t for (t,) in probes]
+
+
 def test_critical_temperature_probes_no_temperature_twice(monkeypatch):
-    calls = probed_temperatures(monkeypatch)
-    t_c = sweep.critical_temperature(fig5a_base(), 1e-3, 0.064, 1e-5)
+    t_c, calls = search_probes(monkeypatch, sweep.critical_temperature)
     assert t_c == T_C_REF
+    path = sequential_path(monkeypatch)
+    assert len(path) == 8
     # one 32-point scan whose ends are the floor and the ceiling, then
-    # 8 single-point bisection steps
-    scan, *bisection = calls
+    # calls of at most 7 midpoints inside the bracket whose midpoint
+    # comes first; the sequential search's probes appear among them in
+    # order, and each bracket's ends are the nearest points probed
+    # before it
+    scan, *levels = calls
     assert len(scan) == 32 and scan[0] == 1e-3 and scan[-1] == 0.064
-    assert [len(c) for c in bisection] == [1] * 8
+    assert [t for c in levels for t in c if t in path] == path
+    # two full trees of three levels, then one that tol cuts after two
+    assert [len(c) for c in levels] == [7, 7, 3]
+    for c in levels:
+        before = scan + path[:path.index(c[0])]
+        lo = max(t for t in before if t < c[0])
+        hi = min(t for t in before if t > c[0])
+        assert c[0] == 0.5 * (lo + hi)
+        assert all(lo < t < hi for t in c)
     seen = [t for c in calls for t in c]
-    assert len(seen) == len(set(seen)) == 40
+    assert len(seen) == len(set(seen))
+
+
+def failing_at(monkeypatch, temperatures):
+    """Make run_stages report an injected SingularSolve at the given temperatures."""
+    run = sweep.run_stages
+
+    def injected(base, overrides):
+        return [
+            sweep.Stages(failure=SingularSolve("injected"))
+            if changes["temperature"] in temperatures else record
+            for changes, record in zip(overrides, run(base, overrides))
+        ]
+
+    monkeypatch.setattr(sweep, "run_stages", injected)
+
+
+def test_critical_temperature_raises_only_on_its_path(monkeypatch):
+    _, (_, *levels) = search_probes(monkeypatch, sweep.critical_temperature)
+    path = sequential_path(monkeypatch)
+    off_path = {t for c in levels for t in c} - set(path)
+    assert off_path
+    with monkeypatch.context() as patch:
+        failing_at(patch, off_path)
+        assert sweep.critical_temperature(fig5a_base(), 1e-3, 0.064, 1e-5) == T_C_REF
+    for search in (sweep.critical_temperature, oracles.sequential_critical_temperature):
+        with monkeypatch.context() as patch:
+            failing_at(patch, {path[4]})
+            with pytest.raises(SingularSolve, match="injected"):
+                search(fig5a_base(), 1e-3, 0.064, 1e-5)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    t_lo=st.floats(1e-4, 0.06),
+    t_hi=st.floats(0.01, 0.1),
+    tol=st.one_of(st.just(1e-300), st.floats(1e-300, 1e-2)),
+)
+def test_critical_temperature_matches_sequential_search(t_lo, t_hi, tol):
+    # T_c, or the guard that stops the search, to the bit
+    assume(t_lo < t_hi)
+    outcomes = []
+    for search in (sweep.critical_temperature, oracles.sequential_critical_temperature):
+        try:
+            outcomes.append(repr(search(fig5a_base(), t_lo, t_hi, tol)))
+        except (NoEntanglementAtFloor, NoDeathBelowCeiling) as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert outcomes[0] == outcomes[1]
 
 
 def test_critical_temperature_stops_at_float_resolution(monkeypatch):
