@@ -90,18 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _workers(args) -> int:
-    n = getattr(args, "parallel", None)
-    if n is None:
-        env = os.environ.get("OMN_PARALLEL")
-        if env is None:
-            return 1
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"OMN_PARALLEL must be an integer, got {env!r}")
-    if n < 1:
-        raise ConfigError(f"worker count must be >= 1, got {n}")
-    return n
+    """--parallel, else OMN_PARALLEL, else 1; run_sweep checks that it is >= 1."""
+    if args.parallel is not None:
+        return args.parallel
+    env = os.environ.get("OMN_PARALLEL", "1")
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"OMN_PARALLEL must be an integer, got {env!r}")
 
 
 def _load_point_config(path) -> params_mod.SystemParams:
@@ -117,37 +113,33 @@ def _cmd_point(args) -> int:
     point = config.apply_overrides(_load_point_config(args.config), args.set)
     (stages,) = sweep.run_stages(point, [{}])
     out = {
-        "params": dataclasses.asdict(point),
-        "derived": None,
-        "stability": None,
-        "entanglement": None,
-        "error": None,
+        "params": point,
+        "derived": stages.derived,
+        "stability": stages.stability,
+        "entanglement": stages.entanglement,
+        "error": stages.failure,
     }
-    if stages.derived is not None:
-        out["derived"] = dataclasses.asdict(stages.derived)
-    if stages.stability is not None:
-        out["stability"] = {
-            "stable": stages.stability.stable,
-            "max_real_part": stages.stability.max_real_part,
-            "eigenvalues": [[z.real, z.imag] for z in stages.stability.eigenvalues],
-        }
-    if stages.entanglement is not None:
-        out["entanglement"] = dataclasses.asdict(stages.entanglement)
-    if stages.failure is not None:
-        out["error"] = {
-            "name": type(stages.failure).__name__,
-            "detail": str(stages.failure),
-        }
-    print(json.dumps(_finite_json(out), indent=2, allow_nan=False))
+    print(json.dumps(_json_value(out), indent=2, allow_nan=False))
     return 0
 
 
-def _finite_json(value):
-    """value with each non-finite float spelled as in the CSV: inf, -inf or nan."""
+def _json_value(value):
+    """value as JSON data, with every record spelled out.
+
+    A dataclass gives its fields, a PointFailure its name and detail, a
+    complex number [re, im], and a non-finite float the CSV's spelling:
+    inf, -inf or nan.
+    """
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif isinstance(value, PointFailure):
+        value = {"name": type(value).__name__, "detail": str(value)}
+    elif isinstance(value, complex):
+        value = [value.real, value.imag]
     if isinstance(value, dict):
-        return {k: _finite_json(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_json(v) for v in value]
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
     return f"{value:.17g}" if isinstance(value, float) and not math.isfinite(value) else value
 
 

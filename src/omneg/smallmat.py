@@ -43,22 +43,18 @@ def _eliminate(work, n):
     then subtracts multiples of row k from the rows below in columns k+1
     on. Each system sees the same per-element operations as alone, and
     each pivot stays on the diagonal. Returns each step's (B,) pivot
-    offsets below row k, nonzero where a system swapped. work must be
-    C-contiguous, so that its flat rows are a view; callers hold
+    offsets below row k, nonzero where a system swapped. Callers hold
     np.errstate, and a zero pivot's NaN and inf stay in its own rows.
     """
-    rows = work.reshape(-1, work.shape[2])
-    # row_k[k] holds the flat index of row k of every system
-    row_k = np.arange(n)[:, None] + np.arange(0, len(work) * n, n)
+    systems = np.arange(len(work))
     offsets = []
     # the last column has no row below it to swap or update
     for k in range(n - 1):
         p = np.abs(work[:, k:, k]).argmax(axis=1)
         offsets.append(p)
         if np.count_nonzero(p):
-            flat = p + row_k[k]
-            pivot_row = rows[flat]
-            rows[flat] = work[:, k]
+            pivot_row = work[systems, k + p]
+            work[systems, k + p] = work[:, k]
             work[:, k] = pivot_row
         mult = work[:, k + 1:, k, None] / work[:, k, None, k, None]
         work[:, k + 1:, k + 1:] -= mult * work[:, k, None, k + 1:]
@@ -68,21 +64,18 @@ def _eliminate(work, n):
 def solve(a, b):
     """Solve A x = b by Gaussian elimination with partial pivoting.
 
-    a is a stack (B, n, n). b is (B, n), one right-hand side per system,
-    or (B, r, n), r of them; x has b's shape. ``_eliminate`` runs the
-    systems in lockstep, and each right-hand side rides along as its own
-    column, whose operations depend only on its system's matrix. So each
-    x is its system's x for that b alone to the bit, and r right-hand
-    sides cost one elimination. A pivot below PIVOT_RTOL * ||A||_inf
-    marks a system singular at the first such column. Returns (x,
-    failures): failures[i] is system i's SingularSolve or None, and a
-    failed system's x is meaningless.
+    a is a stack (B, n, n) and b a stack (B, r, n), r right-hand sides
+    per system; x has b's shape. ``_eliminate`` runs the systems in
+    lockstep, and each right-hand side rides along as its own column,
+    whose operations depend only on its system's matrix. So each x is
+    its system's x for that b alone to the bit, and r right-hand sides
+    cost one elimination. A pivot below PIVOT_RTOL * ||A||_inf marks a
+    system singular at the first such column. Returns (x, failures):
+    failures[i] is system i's SingularSolve or None, and a failed
+    system's x is meaningless.
     """
     arr = np.asarray(a, dtype=float)
     rhs = np.asarray(b, dtype=float)
-    one = rhs.ndim == 2
-    if one:
-        rhs = rhs[:, None]
     size, n, _ = arr.shape
     # b rides along as columns n on, through the same swaps and updates
     work = np.empty((size, n, n + rhs.shape[1]))
@@ -93,15 +86,12 @@ def solve(a, b):
     with np.errstate(all="ignore"):
         _eliminate(work, n)
         pivots = work[:, range(n), range(n)]
-        # x[i, j] is system i's solution for its j-th right-hand side, and
-        # flat lists them all, each beside its own system's pivots
+        # x[i, j] is system i's solution for its j-th right-hand side
         x = work[:, :, n:].transpose(0, 2, 1).copy()
-        flat, x_col = x.reshape(-1, n), x[..., None]
-        flat_pivots = np.repeat(pivots, x.shape[1], axis=0)
         for k in range(n - 1, -1, -1):
             # (1, k) @ (k, 1) per right-hand side reduces as the 1-D dot product does
-            dot = work[:, None, k, None, k + 1:n] @ x_col[:, :, k + 1:]
-            flat[:, k] = (flat[:, k] - dot.ravel()) / flat_pivots[:, k]
+            dot = work[:, None, k, None, k + 1:n] @ x[:, :, k + 1:, None]
+            x[:, :, k] = (x[:, :, k] - dot[..., 0, 0]) / pivots[:, k, None]
     bad = (np.abs(pivots) < threshold[:, None]) | (pivots == 0.0)
     failures = [None] * size
     for i in np.flatnonzero(bad.any(axis=1)):
@@ -109,17 +99,18 @@ def solve(a, b):
         failures[i] = SingularSolve(
             f"pivot {pivots[i, k]:.3e} below {threshold[i]:.3e} in column {k}"
         )
-    return (x[:, 0] if one else x), failures
+    return x, failures
 
 
 def det(a):
     """Determinants of a (B, 4, 4) stack by pivoted elimination; overflow gives inf.
 
     ``_eliminate`` runs the systems in lockstep, so each of the B
-    determinants equals its B = 1 call's float to the bit. A zero pivot
-    in the first three columns gives 0.0 for its own system only.
+    determinants equals its B = 1 call's float to the bit, whatever the
+    memory layout of a. A zero pivot in the first three columns gives
+    0.0 for its own system only.
     """
-    work = np.array(a, dtype=float, order="C")
+    work = np.array(a, dtype=float)
     with np.errstate(all="ignore"):
         sign = (-1.0) ** sum(p != 0 for p in _eliminate(work, 4))
         out = sign * work[:, 0, 0] * work[:, 1, 1] * work[:, 2, 2] * work[:, 3, 3]

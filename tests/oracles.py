@@ -6,7 +6,8 @@ relation, eigenvalues of i Omega V for the symplectic spectrum, the
 Routh-Hurwitz minors of the characteristic polynomial for stability,
 and the time integral of dV/dt for the steady Lyapunov solve. The
 critical-temperature search has a sequential twin that probes one
-temperature per pipeline run.
+temperature per pipeline run, and the ``point`` JSON has its layout
+written out field by field.
 """
 
 import dataclasses
@@ -47,6 +48,47 @@ def grid_points(base, axes, results):
         (dataclasses.replace(base, **dict(zip(names, combo))), result)
         for combo, result in zip(combos, results, strict=True)
     ]
+
+
+def point_document(point, stages):
+    """The ``omneg point`` document of point and its run_stages record, built by hand.
+
+    Each stage's block is None where the stage did not run; the drift
+    eigenvalues are [re, im] pairs, the failure its class name and text,
+    and a non-finite float the CSV's spelling: inf, -inf or nan.
+    """
+    out = {
+        "params": dataclasses.asdict(point),
+        "derived": None,
+        "stability": None,
+        "entanglement": None,
+        "error": None,
+    }
+    if stages.derived is not None:
+        out["derived"] = dataclasses.asdict(stages.derived)
+    if stages.stability is not None:
+        out["stability"] = {
+            "stable": stages.stability.stable,
+            "max_real_part": stages.stability.max_real_part,
+            "eigenvalues": [[z.real, z.imag] for z in stages.stability.eigenvalues],
+        }
+    if stages.entanglement is not None:
+        out["entanglement"] = dataclasses.asdict(stages.entanglement)
+    if stages.failure is not None:
+        out["error"] = {
+            "name": type(stages.failure).__name__,
+            "detail": str(stages.failure),
+        }
+    return _finite_json(out)
+
+
+def _finite_json(value):
+    """value with each non-finite float spelled as in the CSV: inf, -inf or nan."""
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(v) for v in value]
+    return f"{value:.17g}" if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def strict_json(text):

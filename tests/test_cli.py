@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import stat
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from omneg import cli, config, errors, sweep
+from omneg import cli, config, errors, params, sweep
 
 TWO_PI = 2.0 * math.pi
 OMEGA = TWO_PI * 1e8
@@ -114,6 +115,27 @@ def test_point_spells_non_finite_floats_as_the_csv_does(capsys):
     assert doc["derived"]["drive_E"] == "inf"
     assert doc["derived"]["c_s_re"] == doc["derived"]["g_m"] == "nan"
     assert doc["error"]["name"] == "EigenFailure"
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        (["coulomb_lambda_in_omega_m=0.95", "detuning_in_omega_m=1.0"], 0),
+        (["opa_gain=5e7", "detuning=0"], 2),
+        (["detuning_in_omega_m=-1", "coulomb_lambda_in_omega_m=0.5"], 5),
+        (["power=1e300"], 4),
+    ],
+    ids=["readme", "threshold", "unstable", "overflow"],
+)
+def test_point_json_matches_reference_layout(capsys, overrides, code):
+    # byte for byte, so key order and the eigenvalue pairs are pinned; the
+    # reference is built here because eigenvalue bits vary across LAPACKs
+    point = config.apply_overrides(params.reference_params(), overrides)
+    (stages,) = sweep.run_stages(point, [{}])
+    assert (0 if stages.failure is None else stages.failure.code) == code
+    exit_code, out, err = run_cli(capsys, ["point", *(f"--set={o}" for o in overrides)])
+    assert exit_code == 0 and err == ""
+    assert out == json.dumps(oracles.point_document(point, stages), indent=2, allow_nan=False) + "\n"
 
 
 def test_point_rejects_axes_in_config(tmp_path, capsys):
@@ -300,6 +322,28 @@ def test_parallel_env_default(tmp_path, capsys, monkeypatch):
         ["sweep", "--config", str(cfg), "--out", str(out), "--parallel", "1"],
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["sweep", "fig2"])
+@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0")])
+def test_worker_count_below_one_is_config_error(tmp_path, capsys, monkeypatch, command, flag, env):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("axes.detuning = list(0.5, 1.0) * omega_m1\n")
+    out = tmp_path / "rows.csv"
+    argv = [command, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--config", str(cfg)]
+    if flag is not None:
+        argv += ["--parallel", flag]
+    if env is not None:
+        monkeypatch.setenv("OMN_PARALLEL", env)
+    expected = f"error: parallel must be an integer >= 1, got {flag or env}\n"
+    code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (1, expected) and not out.exists()
+    out.write_text("previous table\n")
+    code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (1, expected) and out.read_text() == "previous table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "run.cfg"]
 
 
 def test_fig2_row_count(tmp_path, capsys):

@@ -26,9 +26,9 @@ def test_eigenvalues_nonfinite_raises_eigen_failure():
 
 
 def solve_one(a, b):
-    """Solve one system as a stack of one: (x, failure)."""
-    x, failures = smallmat.solve(np.asarray(a)[None], np.asarray(b)[None])
-    return x[0], failures[0]
+    """Solve one system for one right-hand side as a stack of one: (x, failure)."""
+    x, failures = smallmat.solve(np.asarray(a)[None], np.asarray(b)[None, None])
+    return x[0, 0], failures[0]
 
 
 def test_solve_recovers_known_solution():
@@ -82,10 +82,17 @@ def lyapunov_systems(count, seed):
 
 def test_solve_stack_matches_single_systems_bit_for_bit():
     lhs, rhs = lyapunov_systems(40, seed=5)
-    x, failures = smallmat.solve(lhs, rhs)
+    x, failures = smallmat.solve(lhs, rhs[:, None])
     assert failures == [None] * 40
     single = np.array([solve_one(a, b)[0] for a, b in zip(lhs, rhs)])
-    assert np.array_equal(x.view(np.int64), single.view(np.int64))
+    assert np.array_equal(x[:, 0].view(np.int64), single.view(np.int64))
+    # r = 3 right-hand sides per system: each column's x is its r = 1 x
+    rhs3 = np.stack([rhs, np.random.default_rng(7).standard_normal(rhs.shape), -rhs], axis=1)
+    x3, failures = smallmat.solve(lhs, rhs3)
+    assert x3.shape == (40, 3, 36) and failures == [None] * 40
+    for j in range(3):
+        x1, _ = smallmat.solve(lhs, rhs3[:, j, None])
+        assert np.array_equal(x3[:, j].view(np.int64), x1[:, 0].view(np.int64))
 
 
 @pytest.mark.filterwarnings("error")
@@ -97,19 +104,19 @@ def test_solve_stack_flags_singular_system_alone():
     zero = np.zeros((2, 2))
     stack = np.array([good[0], singular, good[1], zero])
     rhs = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, -1.0], [1.0, 1.0]])
-    x, failures = smallmat.solve(stack, rhs)
+    x, failures = smallmat.solve(stack, rhs[:, None])
     for i in (1, 3):
         _, alone = solve_one(stack[i], rhs[i])
         assert isinstance(failures[i], SingularSolve)
         assert str(failures[i]) == str(alone)
     for i in (0, 2):
         assert failures[i] is None
-        assert np.array_equal(x[i], solve_one(stack[i], rhs[i])[0])
+        assert np.array_equal(x[i, 0], solve_one(stack[i], rhs[i])[0])
 
 
 def test_solve_shape_checks():
     with pytest.raises(ValueError):
-        smallmat.solve(np.eye(2)[None], np.zeros((1, 3)))
+        smallmat.solve(np.eye(2)[None], np.zeros((1, 1, 3)))
 
 
 def test_det_4x4_block_diagonal():
@@ -134,11 +141,12 @@ def test_det_stack_matches_single_calls_bit_for_bit():
 
 
 
-@pytest.mark.parametrize("layout", ["C", "transposed"])
+@pytest.mark.parametrize("layout", ["C", "transposed", "fortran"])
 def test_det_sign_per_system_in_mixed_stack(layout):
     # permutations needing 0, 1, 2 and 3 row swaps have determinants
     # +1, -1, +1, -1 exactly, interleaved with random systems; a
-    # transposed stack is not C-contiguous and has the same determinants
+    # transposed or Fortran-ordered stack is not C-contiguous and has
+    # the same determinants
     perms = [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 3, 2), (3, 0, 1, 2)]
     rng = np.random.default_rng(23)
     randoms = rng.standard_normal((4, 4, 4))
@@ -147,6 +155,8 @@ def test_det_sign_per_system_in_mixed_stack(layout):
     stack[1::2] = randoms
     if layout == "transposed":
         stack = stack.transpose(0, 2, 1)
+    elif layout == "fortran":
+        stack = np.asfortranarray(stack)
     got = smallmat.det(stack)
     assert list(got[0::2]) == [1.0, -1.0, 1.0, -1.0]
     assert got[1::2] == pytest.approx(np.linalg.det(randoms), rel=1e-12)
