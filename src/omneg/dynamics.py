@@ -110,11 +110,13 @@ def stability(m, omega_scale):
     which must be positive.
 
     A stack m of shape (B, n, n) with omega_scale of shape (B,) takes
-    one eigenvalue call for all B systems and returns a list of B
-    entries, each the system's StabilityReport or the PointFailure a
-    single call would raise for it, and each report equals the single
-    call's to the bit. When LAPACK fails on the stack (a non-finite or
-    non-converging system), its systems are redone one at a time.
+    one eigenvalue call for all B systems, with one row per distinct
+    drift: rows whose m are equal byte for byte share its eigenvalues.
+    It returns a list of B entries, each the system's StabilityReport
+    or the PointFailure a single call would raise for it, and each
+    report equals the single call's to the bit. When LAPACK fails on
+    the stack (a non-finite or non-converging system), its systems are
+    redone one at a time.
     """
     arr = np.asarray(m, dtype=float)
     if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
@@ -128,8 +130,9 @@ def stability(m, omega_scale):
     scales = [float(s) for s in omega_scale]
     if not all(s > 0.0 for s in scales):
         raise ValueError(f"omega_scale must be positive, got {omega_scale}")
+    group, _, firsts = _shared_drifts(arr)
     try:
-        out = _reports(smallmat.eigenvalues(arr), scales)
+        out = _reports(smallmat.eigenvalues(arr[firsts])[group], scales)
     except EigenFailure:
         # one system at a time, so each failure is its own
         out = []

@@ -6,8 +6,9 @@ non-finite arithmetic is classified by their stage guards. Eigenvalues
 go through LAPACK, whose own finiteness check turns a non-finite matrix
 into EigenFailure. One local lockstep elimination, ``_eliminate``, serves
 ``solve`` and ``det``, so the pivot policy is explicit and written once.
-They take stacks of matrices along a leading axis; the other kernels
-take one matrix or a stack.
+They take stacks of matrices along a leading axis and eliminate a copy
+with the systems on the last axis, which gives each numpy loop all the
+systems' entries; the other kernels take one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -37,27 +38,33 @@ def eigenvalues(a) -> np.ndarray:
 
 
 def _eliminate(work, n):
-    """Eliminate the first n columns of a (B, n, m) stack in place, in lockstep.
+    """Eliminate the first n columns of an (n, m, B) array in place, in lockstep.
 
+    work[i, j, s] is entry (i, j) of system s. With the systems
+    innermost, each numpy loop of the row update runs over all B systems
+    at once (the subtraction over a row's remaining columns of all of
+    them), not over one short row of one system; below about ten
+    systems the rows are the longer loops, and such stacks run slower.
     At column k each system swaps in its own row of largest magnitude,
     then subtracts multiples of row k from the rows below in columns k+1
-    on. Each system sees the same per-element operations as alone, and
-    each pivot stays on the diagonal. Returns each step's (B,) pivot
-    offsets below row k, nonzero where a system swapped. Callers hold
-    np.errstate, and a zero pivot's NaN and inf stay in its own rows.
+    on. Each element sees the same a - (a_ik / a_kk) * a_kj as in any
+    other layout or alone, and each pivot stays on the diagonal. Returns
+    each step's (B,) pivot offsets below row k, nonzero where a system
+    swapped. Callers hold np.errstate, and a zero pivot's NaN and inf
+    stay in its own system.
     """
-    systems = np.arange(len(work))
+    systems = np.arange(work.shape[2])
     offsets = []
     # the last column has no row below it to swap or update
     for k in range(n - 1):
-        p = np.abs(work[:, k:, k]).argmax(axis=1)
+        p = np.abs(work[k:, k]).argmax(axis=0)
         offsets.append(p)
         if np.count_nonzero(p):
-            pivot_row = work[systems, k + p]
-            work[systems, k + p] = work[:, k]
-            work[:, k] = pivot_row
-        mult = work[:, k + 1:, k, None] / work[:, k, None, k, None]
-        work[:, k + 1:, k + 1:] -= mult * work[:, k, None, k + 1:]
+            pivot_row = work[k + p, :, systems]
+            work[k + p, :, systems] = work[k].T
+            work[k] = pivot_row.T
+        mult = work[k + 1:, k] / work[k, k]
+        work[k + 1:, k + 1:] -= mult[:, None] * work[k, k + 1:]
     return offsets
 
 
@@ -77,20 +84,24 @@ def solve(a, b):
     arr = np.asarray(a, dtype=float)
     rhs = np.asarray(b, dtype=float)
     size, n, _ = arr.shape
-    # b rides along as columns n on, through the same swaps and updates
-    work = np.empty((size, n, n + rhs.shape[1]))
-    work[:, :, :n] = arr
-    work[:, :, n:] = rhs.transpose(0, 2, 1)
+    # systems innermost; b rides along as columns n on, through the same
+    # swaps and updates
+    work = np.empty((n, n + rhs.shape[1], size))
+    work[:, :n] = arr.transpose(1, 2, 0)
+    work[:, n:] = rhs.transpose(2, 1, 0)
     threshold = PIVOT_RTOL * np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
     # the pivot test below reports a system that divided by a tiny pivot
     with np.errstate(all="ignore"):
         _eliminate(work, n)
-        pivots = work[:, range(n), range(n)]
+        # each system's rows contiguous again: a strided dot below could
+        # take another BLAS path and sum in another order
+        u = work.transpose(2, 0, 1).copy()
+        pivots = u[:, range(n), range(n)]
         # x[i, j] is system i's solution for its j-th right-hand side
-        x = work[:, :, n:].transpose(0, 2, 1).copy()
+        x = u[:, :, n:].transpose(0, 2, 1).copy()
         for k in range(n - 1, -1, -1):
             # (1, k) @ (k, 1) per right-hand side reduces as the 1-D dot product does
-            dot = work[:, None, k, None, k + 1:n] @ x[:, :, k + 1:, None]
+            dot = u[:, None, k, None, k + 1:n] @ x[:, :, k + 1:, None]
             x[:, :, k] = (x[:, :, k] - dot[..., 0, 0]) / pivots[:, k, None]
     bad = (np.abs(pivots) < threshold[:, None]) | (pivots == 0.0)
     failures = [None] * size
@@ -110,11 +121,12 @@ def det(a):
     memory layout of a. A zero pivot in the first three columns gives
     0.0 for its own system only.
     """
-    work = np.array(a, dtype=float)
+    # a copy with the systems innermost; a itself is left alone
+    work = np.array(np.asarray(a, dtype=float).transpose(1, 2, 0), order="C")
     with np.errstate(all="ignore"):
         sign = (-1.0) ** sum(p != 0 for p in _eliminate(work, 4))
-        out = sign * work[:, 0, 0] * work[:, 1, 1] * work[:, 2, 2] * work[:, 3, 3]
-    out[(work[:, range(3), range(3)] == 0.0).any(axis=1)] = 0.0
+        out = sign * work[0, 0] * work[1, 1] * work[2, 2] * work[3, 3]
+    out[(work[range(3), range(3)] == 0.0).any(axis=0)] = 0.0
     return out
 
 

@@ -67,8 +67,8 @@ class Stages:
 
 # rows per stack: stability, the Lyapunov solve and the negativity of up
 # to this many points run as one call each, which shares their per-call
-# overhead; 32 systems of 36x37 stay near 340 kB
-STACK_ROWS = 32
+# overhead; 64 systems of 36x37 take about 680 kB
+STACK_ROWS = 64
 
 
 def run_stages(base: SystemParams, overrides) -> list[Stages]:

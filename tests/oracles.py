@@ -7,7 +7,9 @@ Routh-Hurwitz minors of the characteristic polynomial for stability,
 and the time integral of dV/dt for the steady Lyapunov solve. The
 critical-temperature search has a sequential twin that probes one
 temperature per pipeline run, and the ``point`` JSON has its layout
-written out field by field.
+written out field by field. ``smallmat``'s elimination keeps its
+row-major form here, with each system's rows on a leading stack axis,
+as the reference its systems-innermost form must match to the bit.
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from omneg import SystemParams, build_diffusion, build_drift, derive, steady_covariance, sweep
-from omneg.errors import NoDeathBelowCeiling, NoEntanglementAtFloor
+from omneg.errors import NoDeathBelowCeiling, NoEntanglementAtFloor, SingularSolve
+from omneg.smallmat import PIVOT_RTOL
 
 OMEGA = 2.0 * math.pi * 1e8
 
@@ -213,3 +216,55 @@ def sequential_critical_temperature(p, t_lo, t_hi, tol):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _rowmajor_eliminate(work, n):
+    """smallmat's lockstep elimination on a (B, n, m) stack, rows per system."""
+    systems = np.arange(len(work))
+    offsets = []
+    for k in range(n - 1):
+        p = np.abs(work[:, k:, k]).argmax(axis=1)
+        offsets.append(p)
+        if np.count_nonzero(p):
+            pivot_row = work[systems, k + p]
+            work[systems, k + p] = work[:, k]
+            work[:, k] = pivot_row
+        mult = work[:, k + 1:, k, None] / work[:, k, None, k, None]
+        work[:, k + 1:, k + 1:] -= mult * work[:, k, None, k + 1:]
+    return offsets
+
+
+def rowmajor_solve(a, b):
+    """``smallmat.solve`` with the row-major elimination: (x, failures)."""
+    arr = np.asarray(a, dtype=float)
+    rhs = np.asarray(b, dtype=float)
+    size, n, _ = arr.shape
+    work = np.empty((size, n, n + rhs.shape[1]))
+    work[:, :, :n] = arr
+    work[:, :, n:] = rhs.transpose(0, 2, 1)
+    threshold = PIVOT_RTOL * np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
+    with np.errstate(all="ignore"):
+        _rowmajor_eliminate(work, n)
+        pivots = work[:, range(n), range(n)]
+        x = work[:, :, n:].transpose(0, 2, 1).copy()
+        for k in range(n - 1, -1, -1):
+            dot = work[:, None, k, None, k + 1:n] @ x[:, :, k + 1:, None]
+            x[:, :, k] = (x[:, :, k] - dot[..., 0, 0]) / pivots[:, k, None]
+    bad = (np.abs(pivots) < threshold[:, None]) | (pivots == 0.0)
+    failures = [None] * size
+    for i in np.flatnonzero(bad.any(axis=1)):
+        k = int(bad[i].argmax())
+        failures[i] = SingularSolve(
+            f"pivot {pivots[i, k]:.3e} below {threshold[i]:.3e} in column {k}"
+        )
+    return x, failures
+
+
+def rowmajor_det(a):
+    """``smallmat.det`` with the row-major elimination."""
+    work = np.array(a, dtype=float)
+    with np.errstate(all="ignore"):
+        sign = (-1.0) ** sum(p != 0 for p in _rowmajor_eliminate(work, 4))
+        out = sign * work[:, 0, 0] * work[:, 1, 1] * work[:, 2, 2] * work[:, 3, 3]
+    out[(work[:, range(3), range(3)] == 0.0).any(axis=1)] = 0.0
+    return out

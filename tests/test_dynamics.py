@@ -143,6 +143,36 @@ def test_stability_stack_matches_single_calls_bit_for_bit():
         assert repr(report) == repr(dynamics.stability(m, omega_scale=scale))
 
 
+def test_stability_stack_decomposes_each_distinct_drift_once(monkeypatch):
+    # an unstable and a stable fig3 drift in 3 and 2 rows, some under a
+    # second scale, another in 1 row, and the drifts at Coulomb coupling
+    # 0.0 and -0.0, equal under == but not byte for byte: 5 distinct
+    ms, scales = fig3_drifts()
+    signed = [params.reference_params(coulomb_lambda=lam) for lam in (0.0, -0.0)]
+    plus, minus = (dynamics.build_drift(p, params.derive(p).g_m) for p in signed)
+    assert not np.array_equal(plus.view(np.int64), minus.view(np.int64))
+    rows = [
+        (ms[0], scales[0]), (ms[20], scales[20]), (plus, signed[0].omega_m1),
+        (ms[0], 1e-3 * scales[0]), (minus, signed[1].omega_m1), (ms[20], 1e-3),
+        (ms[0], scales[0]), (ms[5], scales[5]), (plus, 1.0),
+    ]
+    stack, stack_scales = (np.array(col) for col in zip(*rows))
+    calls = []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigenvalues(a)
+
+    eigenvalues = smallmat.eigenvalues
+    monkeypatch.setattr(smallmat, "eigenvalues", counted)
+    got = dynamics.stability(stack, stack_scales)
+    assert calls == [(5, 6, 6)]
+    assert [r.stable for r in got[:2]] == [False, True]
+    monkeypatch.setattr(smallmat, "eigenvalues", eigenvalues)
+    for (m, scale), report in zip(rows, got):
+        assert repr(report) == repr(dynamics.stability(m, omega_scale=scale))
+
+
 @pytest.mark.filterwarnings("error")
 def test_stability_stack_reports_non_finite_system_alone():
     ms, scales = fig3_drifts()

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omneg import smallmat
+import oracles
+from omneg import smallmat, sweep
 from omneg.errors import EigenFailure, SingularSolve
 
 
@@ -172,6 +175,68 @@ def test_det_stack_zero_pivot_is_zero_alone():
     assert got[1] == 0.0 and smallmat.det(stack[1, None])[0] == 0.0
     for i in (0, 2):
         assert got[i] == smallmat.det(stack[i, None])[0] != 0.0
+
+
+# stack sizes around the sweep's stack, and which systems of a stack
+# are made singular, given -0.0 entries or given a non-finite entry
+STACK_SIZES = st.sampled_from([1, 2, sweep.STACK_ROWS, sweep.STACK_ROWS + 1])
+SPECIALS = st.fixed_dictionaries({
+    kind: st.integers(0, sweep.STACK_ROWS)
+    for kind in ("singular", "signed_zero", "non_finite")
+})
+
+
+def with_specials(stack, specials, bad):
+    """stack with its specials made, each at its index modulo the stack size."""
+    stack = stack.copy()
+    size, n, _ = stack.shape
+    singular = stack[specials["singular"] % size]
+    singular[n // 2] = singular[n // 2 - 1]
+    signed = stack[specials["signed_zero"] % size]
+    signed[signed == 0.0] = -0.0
+    signed[:, 1] = -0.0
+    stack[specials["non_finite"] % size, n - 1, 0] = bad
+    return stack
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(size=STACK_SIZES, r=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1),
+       specials=SPECIALS, bad=st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_solve_matches_row_major_reference_bit_for_bit(size, r, seed, specials, bad):
+    # Kronecker sums of random 6x6 drifts, with one singular system, one
+    # holding -0.0 entries and one non-finite system among them
+    rng = np.random.default_rng(seed)
+    drifts = rng.standard_normal((size, 6, 6))
+    eye = np.eye(6)
+    lhs = with_specials(smallmat.kron(drifts, eye) + smallmat.kron(eye, drifts), specials, bad)
+    rhs = rng.standard_normal((size, r, 36))
+    rhs[specials["signed_zero"] % size, :, ::4] = -0.0
+    x, failures = smallmat.solve(lhs, rhs)
+    want, want_failures = oracles.rowmajor_solve(lhs, rhs)
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+    assert [None if f is None else str(f) for f in failures] == [
+        None if f is None else str(f) for f in want_failures
+    ]
+    singular, non_finite = (specials[kind] % size for kind in ("singular", "non_finite"))
+    if singular != non_finite:
+        assert isinstance(failures[singular], SingularSolve)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(size=STACK_SIZES, seed=st.integers(0, 2**32 - 1), specials=SPECIALS,
+       bad=st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_det_matches_row_major_reference_bit_for_bit(size, seed, specials, bad):
+    # random 4x4 systems with a singular one, -0.0 entries and a
+    # non-finite one; a Fortran-ordered copy gives the same bits
+    stack = np.random.default_rng(seed).standard_normal((size, 4, 4))
+    stack[:, 2, 3] = 0.0
+    stack = with_specials(stack, specials, bad)
+    want = oracles.rowmajor_det(stack)
+    for layout in (stack, np.asfortranarray(stack)):
+        assert np.array_equal(smallmat.det(layout).view(np.int64), want.view(np.int64))
+    singular, non_finite = (specials[kind] % size for kind in ("singular", "non_finite"))
+    if singular != non_finite:
+        assert want[singular] == 0.0
 
 
 def test_kron_block_structure():
