@@ -3,7 +3,7 @@
 The pipeline runs parameter validation -> params.derive (the classical
 steady state) -> dynamics -> entanglement and is stated once, in
 ``sweep.run_stages(base, overrides)``: for each override dict it
-returns every stage's output plus the failure that stopped it, running
+returns every stage's output plus the error that stopped it, running
 the points' stability tests, Lyapunov solves and negativities in
 stacks. ``evaluate_point`` (the CSV row), grid sweeps, the ``point``
 command and ``critical_temperature`` all read that record; cli fronts

@@ -112,14 +112,7 @@ def _load_point_config(path) -> params_mod.SystemParams:
 def _cmd_point(args) -> int:
     point = config.apply_overrides(_load_point_config(args.config), args.set)
     (stages,) = sweep.run_stages(point, [{}])
-    out = {
-        "params": point,
-        "derived": stages.derived,
-        "stability": stages.stability,
-        "entanglement": stages.entanglement,
-        "error": stages.failure,
-    }
-    print(json.dumps(_json_value(out), indent=2, allow_nan=False))
+    print(json.dumps(_json_value(stages), indent=2, allow_nan=False))
     return 0
 
 

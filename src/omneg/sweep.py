@@ -45,23 +45,23 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class Stages:
-    """Output of every pipeline stage at one point.
+    """One point's pipeline record: the ``point`` command's JSON document.
 
-    A failing stage leaves its own field and every later one None and
-    records its exception in ``failure``. ``nbar`` is oscillator 1's
-    bath occupation, None only when validation rejected the point.
+    ``params`` is the validated operating point, None only when
+    validation rejected it. A failing stage leaves its own field and
+    every later one None and records its exception in ``error``.
     """
 
-    nbar: float | None = None
+    params: SystemParams | None = None
     derived: DerivedQuantities | None = None
     stability: StabilityReport | None = None
     entanglement: EntanglementResult | None = None
-    failure: PointFailure | None = None
+    error: PointFailure | None = None
 
     def checked_en(self) -> float:
         """E_N, or the failure of the stage that stopped the run."""
-        if self.failure is not None:
-            raise self.failure
+        if self.error is not None:
+            raise self.error
         return self.entanglement.log_negativity
 
 
@@ -77,13 +77,14 @@ def run_stages(base: SystemParams, overrides) -> list[Stages]:
     Stages: validation (``SystemParams(**{**vars(base), **changes})``;
     a rejected point fails with InvalidParams), steady state
     (params.derive), drift and diffusion, stability, steady covariance,
-    negativity of its oscillator block. The first PointFailure stops a
-    point's run and is kept in its record. Validation, steady state,
-    drift and diffusion run point by point; the points that pass them
-    go on in stacks of at most STACK_ROWS, in order, and each later
-    stage is one stacked call per stack that returns each system's
-    output or failure. A point's record is the same whatever other
-    points share the call.
+    negativity of its oscillator block. A record holds the validated
+    point and each stage's output; the first PointFailure stops a
+    point's run and is kept as its ``error``. Validation, steady state,
+    drift and diffusion run point by point, and only the first two can
+    fail; the points that pass them go on in stacks of at most
+    STACK_ROWS, in order, and each later stage is one stacked call per
+    stack that returns each system's output or failure. A point's
+    record is the same whatever other points share the call.
     """
     records = []
     pending = []
@@ -92,20 +93,18 @@ def run_stages(base: SystemParams, overrides) -> list[Stages]:
             # vars(base) is exactly its fields; replace walks them per row
             p = SystemParams(**{**vars(base), **changes})
         except ValueError as exc:
-            records.append(Stages(failure=InvalidParams(str(exc))))
+            records.append(Stages(error=InvalidParams(str(exc))))
             continue
-        nbar = params_mod.thermal_occupation(p.omega_m1, p.temperature)
-        derived = None
         try:
             derived = params_mod.derive(p)
-            m = dynamics.build_drift(p, derived.g_m)
-            d = dynamics.build_diffusion(p)
         except PointFailure as exc:
             # kept without its traceback, whose frames link back to the
             # caller's local holding this record: a reference cycle per row
-            records.append(Stages(nbar, derived, failure=exc.with_traceback(None)))
+            records.append(Stages(p, error=exc.with_traceback(None)))
             continue
-        pending.append((len(records), nbar, derived, m, d, p.omega_m1))
+        m = dynamics.build_drift(p, derived.g_m)
+        d = dynamics.build_diffusion(p)
+        pending.append((len(records), p, derived, m, d))
         records.append(None)  # filled in when its stack is run
         if len(pending) == STACK_ROWS:
             _run_stack(pending, records)
@@ -117,8 +116,9 @@ def run_stages(base: SystemParams, overrides) -> list[Stages]:
 
 def _run_stack(pending, records) -> None:
     """Stability, covariance and E_N of the pending points, one stacked call each."""
-    index, nbar, derived, ms, ds, scales = zip(*pending)
-    ms, ds, scales = np.array(ms), np.array(ds), np.array(scales)
+    index, points, derived, ms, ds = zip(*pending)
+    ms, ds = np.array(ms), np.array(ds)
+    scales = np.array([p.omega_m1 for p in points])
     reports = dynamics.stability(ms, scales)
     # each point's latest stage output or failure; an unstable report is no
     # failure yet, so steady_covariance gets its row and returns one
@@ -135,7 +135,7 @@ def _run_stack(pending, records) -> None:
     for j, out in enumerate(latest):
         failed = isinstance(out, PointFailure)
         report = reports[j] if isinstance(reports[j], StabilityReport) else None
-        records[index[j]] = Stages(nbar[j], derived[j], report,
+        records[index[j]] = Stages(points[j], derived[j], report,
                                    None if failed else out, out if failed else None)
 
 
@@ -168,13 +168,17 @@ def evaluate_point(p: SystemParams) -> PointResult:
 
 def _flatten(stages: Stages) -> PointResult:
     """The CSV row of one point's pipeline record."""
-    cols = {"nbar": stages.nbar}
+    cols = {}
     if stages.derived is not None:
         cols.update(
+            nbar=stages.derived.nbar,
             abs_c_s=abs(stages.derived.c_s),
             q1s=stages.derived.q1s,
             g_m=stages.derived.g_m,
         )
+    elif stages.params is not None:  # derive rejected the point: codes 2 and 3
+        p = stages.params
+        cols["nbar"] = params_mod.thermal_occupation(p.omega_m1, p.temperature)
     if stages.stability is not None:
         cols.update(
             stable=stages.stability.stable,
@@ -186,7 +190,7 @@ def _flatten(stages: Stages) -> PointResult:
             varrho=stages.entanglement.varrho,
             log_negativity=stages.entanglement.log_negativity,
         )
-    code = ErrorCode.OK if stages.failure is None else stages.failure.code
+    code = ErrorCode.OK if stages.error is None else stages.error.code
     return PointResult(error_code=code, **cols)
 
 
@@ -200,7 +204,7 @@ def _validate_grid(axes, parallel) -> None:
     for name, values in axes:
         if name not in PARAM_NAMES:
             raise ConfigError(f"unknown axis parameter {name!r}")
-        if not values:
+        if len(values) == 0:
             raise ConfigError(f"axis {name!r} has no values")
     size = math.prod(len(values) for _, values in axes)
     if size > MAX_GRID_POINTS:
@@ -238,8 +242,6 @@ def _fmt(value) -> str:
         return f"{value:.17g}"
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(int(value))
     return f"{value:.17g}"

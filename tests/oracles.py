@@ -77,10 +77,10 @@ def point_document(point, stages):
         }
     if stages.entanglement is not None:
         out["entanglement"] = dataclasses.asdict(stages.entanglement)
-    if stages.failure is not None:
+    if stages.error is not None:
         out["error"] = {
-            "name": type(stages.failure).__name__,
-            "detail": str(stages.failure),
+            "name": type(stages.error).__name__,
+            "detail": str(stages.error),
         }
     return _finite_json(out)
 

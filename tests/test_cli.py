@@ -132,7 +132,7 @@ def test_point_json_matches_reference_layout(capsys, overrides, code):
     # reference is built here because eigenvalue bits vary across LAPACKs
     point = config.apply_overrides(params.reference_params(), overrides)
     (stages,) = sweep.run_stages(point, [{}])
-    assert (0 if stages.failure is None else stages.failure.code) == code
+    assert (0 if stages.error is None else stages.error.code) == code
     exit_code, out, err = run_cli(capsys, ["point", *(f"--set={o}" for o in overrides)])
     assert exit_code == 0 and err == ""
     assert out == json.dumps(oracles.point_document(point, stages), indent=2, allow_nan=False) + "\n"
@@ -409,6 +409,20 @@ def test_critical_temp_success_and_guards(tmp_path, capsys):
         code, out, err = run_cli(capsys, ["critical-temp", "--config", str(cfg), "--t-hi", t_hi])
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_critical_temp_point_failure_prints_its_name_and_detail(tmp_path, capsys):
+    # the pump is above threshold, so the first probe fails; the search
+    # reports that failure as a physics outcome, not a usage error
+    cfg = tmp_path / "threshold.cfg"
+    cfg.write_text("base.opa_gain = 5e7\nbase.detuning = 0\n")
+    code, out, err = run_cli(capsys, ["critical-temp", "--config", str(cfg)])
+    assert code == 0 and err == ""
+    assert out == (
+        '{"error": "ThresholdSingularity", "detail": "parametric gain 5e+07 is at or '
+        "above the oscillation threshold (kappa^2 + detuning^2 - 4*gain^2 = "
+        '-2.23839e+15)"}\n'
+    )
 
 
 def _child_env():

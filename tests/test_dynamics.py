@@ -206,6 +206,13 @@ def test_steady_covariance_minus_identity():
     assert np.allclose(v, 0.5 * np.eye(6), atol=1e-15)
 
 
+@pytest.mark.parametrize("m_shape, d_shape", [((6, 6), (4, 4)), ((2, 6, 6), (6, 6))])
+def test_steady_covariance_rejects_mismatched_shapes(m_shape, d_shape):
+    m = -np.ones(m_shape)
+    with pytest.raises(ValueError, match="m and d must be matching square matrices"):
+        dynamics.steady_covariance(m, np.ones(d_shape), omega_scale=1.0)
+
+
 def test_steady_covariance_decoupled_diagonal():
     m = np.diag([-1.0, -2.0, -4.0, -8.0, -16.0, -32.0])
     d = np.diag([2.0, 3.0, 5.0, 7.0, 11.0, 13.0])

@@ -100,6 +100,12 @@ def test_params_validation():
         params.reference_params(temperature=math.inf)
 
 
+@pytest.mark.parametrize("value", ["0.05", None, True, 1j], ids=repr)
+def test_params_reject_non_real_field(value):
+    with pytest.raises(ValueError, match="^power must be a real number$"):
+        params.reference_params(power=value)
+
+
 def test_params_reject_overstrong_coulomb():
     p = params.reference_params()
     with pytest.raises(ValueError):

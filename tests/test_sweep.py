@@ -135,7 +135,7 @@ def test_failed_rows_leave_no_reference_cycles():
         (rejected,) = sweep.run_stages(
             params.reference_params(), [{"coulomb_lambda": 1.05 * OMEGA}]
         )
-        assert rejected.failure.code == sweep.ErrorCode.INVALID_PARAMS
+        assert rejected.error.code == sweep.ErrorCode.INVALID_PARAMS
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -209,7 +209,7 @@ def test_run_sweep_pool_size_is_bounded(monkeypatch, parallel, rows, cpus, worke
     monkeypatch.setattr(sweep, "multiprocessing", types.SimpleNamespace(Pool=FakePool))
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
-        sweep, "run_stages", lambda base, overrides: [sweep.Stages(0.0) for _ in overrides]
+        sweep, "run_stages", lambda base, overrides: [sweep.Stages() for _ in overrides]
     )
     axes = [("power", tuple(0.01 * (i + 1) for i in range(rows)))]
     got = sweep.run_sweep(params.reference_params(), axes, parallel)
@@ -261,7 +261,7 @@ def test_negativity_does_not_increase_with_temperature(base, temperatures):
     # temperature enters only the bath noise, so a hotter bath can only
     # wash entanglement out
     records = sweep.run_stages(base, [{"temperature": t} for t in sorted(temperatures)])
-    assume(records[0].failure is None)
+    assume(records[0].error is None)
     values = [r.checked_en() for r in records]
     assert all(b <= a for a, b in zip(values, values[1:])), values
 
@@ -272,18 +272,18 @@ def test_negativity_is_periodic_in_pump_phase(base, phase):
     low, high = sweep.run_stages(
         base, [{"opa_phase": phase}, {"opa_phase": phase + TWO_PI}]
     )
-    codes = [0 if r.failure is None else r.failure.code for r in (low, high)]
+    codes = [0 if r.error is None else r.error.code for r in (low, high)]
     assert codes[0] == codes[1]
-    if low.failure is None:
+    if low.error is None:
         assert high.checked_en() == pytest.approx(low.checked_en(), abs=1e-9)
 
 
 def same_record(a: sweep.Stages, b: sweep.Stages) -> bool:
     """Field-for-field equality; float reprs round-trip, so equal bits."""
     return (
-        repr(dataclasses.replace(a, failure=None)) == repr(dataclasses.replace(b, failure=None))
-        and type(a.failure) is type(b.failure)
-        and str(a.failure) == str(b.failure)
+        repr(dataclasses.replace(a, error=None)) == repr(dataclasses.replace(b, error=None))
+        and type(a.error) is type(b.error)
+        and str(a.error) == str(b.error)
     )
 
 
@@ -336,7 +336,7 @@ def test_any_batch_gives_each_row_as_alone(coded):
     batch = sweep.run_stages(base, overrides)
     assert len(batch) == len(overrides)
     for code, changes, record in zip(codes, overrides, batch):
-        got = 0 if record.failure is None else record.failure.code
+        got = 0 if record.error is None else record.error.code
         if code == 0 and got == 7:
             # a cold, weakly cooled point can break the uncertainty relation
             _, _, v = oracles.readme_chain(dataclasses.replace(base, **changes))
@@ -353,7 +353,7 @@ def test_temperature_only_batch_gives_each_row_as_alone():
     temperatures = [0.03, 1e-3, 0.03, 0.064, 1e300, 1e-3, 0.0, 0.03, 1e300]
     overrides = [{"temperature": t} for t in temperatures]
     batch = sweep.run_stages(fig5a_base(), overrides)
-    assert [0 if r.failure is None else r.failure.code for r in batch] == [
+    assert [0 if r.error is None else r.error.code for r in batch] == [
         0, 0, 0, 0, 6, 0, 0, 0, 6]
     for changes, record in zip(overrides, batch):
         assert same_record(record, sweep.run_stages(fig5a_base(), [changes])[0])
@@ -398,6 +398,28 @@ def test_run_sweep_rejects_bad_spec():
         sweep.run_sweep(base, [("power", ())])
     with pytest.raises(ConfigError):
         sweep.run_sweep(base, [], parallel=0)
+
+
+def test_run_sweep_takes_numpy_axes(tmp_path):
+    # an axis may be an array: same rows and bytes as the tuple of its
+    # values, whose float64 cells write_csv formats like floats
+    base, axes = sweep.figure_spec("fig5a")
+    arrays = [(name, np.array(values)) for name, values in axes]
+    results = sweep.run_sweep(base, axes)
+    from_arrays = sweep.run_sweep(base, arrays)
+    assert repr(from_arrays) == repr(results)
+    sweep.write_csv(tmp_path / "tuples.csv", axes, results)
+    sweep.write_csv(tmp_path / "arrays.csv", arrays, from_arrays)
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
+    with pytest.raises(ConfigError, match="^axis 'power' has no values$"):
+        sweep.run_sweep(base, [("power", np.array([]))])
+
+
+def test_run_stages_flags_a_non_real_override_as_invalid():
+    (record,) = sweep.run_stages(params.reference_params(), [{"power": "0.05"}])
+    assert record.params is None
+    assert record.error.code == sweep.ErrorCode.INVALID_PARAMS
+    assert str(record.error) == "power must be a real number"
 
 
 def test_run_sweep_rejects_grid_over_cap(monkeypatch):
@@ -589,7 +611,7 @@ def failing_at(monkeypatch, temperatures):
 
     def injected(base, overrides):
         return [
-            sweep.Stages(failure=SingularSolve("injected"))
+            sweep.Stages(error=SingularSolve("injected"))
             if changes["temperature"] in temperatures else record
             for changes, record in zip(overrides, run(base, overrides))
         ]
@@ -650,7 +672,7 @@ def test_critical_temperature_judges_floor_before_ceiling():
     # the ceiling point overflows its covariance (code 6), but a floor
     # without entanglement is reported first
     (ceiling,) = sweep.run_stages(params.reference_params(), [{"temperature": 1e300}])
-    assert isinstance(ceiling.failure, SingularSolve)
+    assert isinstance(ceiling.error, SingularSolve)
     with pytest.raises(NoEntanglementAtFloor):
         sweep.critical_temperature(params.reference_params(), 1e-3, 1e300, 1e-5)
 
