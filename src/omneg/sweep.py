@@ -79,64 +79,60 @@ def run_stages(base: SystemParams, overrides) -> list[Stages]:
     (params.derive), drift and diffusion, stability, steady covariance,
     negativity of its oscillator block. A record holds the validated
     point and each stage's output; the first PointFailure stops a
-    point's run and is kept as its ``error``. Validation, steady state,
-    drift and diffusion run point by point, and only the first two can
-    fail; the points that pass them go on in stacks of at most
-    STACK_ROWS, in order, and each later stage is one stacked call per
-    stack that returns each system's output or failure. A point's
-    record is the same whatever other points share the call.
+    point's run and is kept as its ``error``. Validation and steady
+    state run point by point; the records they leave without an error
+    go on in stacks of at most STACK_ROWS, in order, whose drift and
+    diffusion are built point by point and whose later stages are one
+    stacked call per stack, each returning every system's output or
+    failure. A point's record is the same whatever other points share
+    the call.
     """
-    records = []
-    pending = []
-    for changes in overrides:
-        try:
-            # vars(base) is exactly its fields; replace walks them per row
-            p = SystemParams(**{**vars(base), **changes})
-        except ValueError as exc:
-            records.append(Stages(error=InvalidParams(str(exc))))
-            continue
-        try:
-            derived = params_mod.derive(p)
-        except PointFailure as exc:
-            # kept without its traceback, whose frames link back to the
-            # caller's local holding this record: a reference cycle per row
-            records.append(Stages(p, error=exc.with_traceback(None)))
-            continue
-        m = dynamics.build_drift(p, derived.g_m)
-        d = dynamics.build_diffusion(p)
-        pending.append((len(records), p, derived, m, d))
-        records.append(None)  # filled in when its stack is run
-        if len(pending) == STACK_ROWS:
-            _run_stack(pending, records)
-            pending = []
-    if pending:
-        _run_stack(pending, records)
+    records = [_steady_record(base, changes) for changes in overrides]
+    live = [j for j, record in enumerate(records) if record.error is None]
+    for start in range(0, len(live), STACK_ROWS):
+        _run_stack(records, live[start:start + STACK_ROWS])
     return records
 
 
-def _run_stack(pending, records) -> None:
-    """Stability, covariance and E_N of the pending points, one stacked call each."""
-    index, points, derived, ms, ds = zip(*pending)
-    ms, ds = np.array(ms), np.array(ds)
-    scales = np.array([p.omega_m1 for p in points])
+def _steady_record(base: SystemParams, changes) -> Stages:
+    """The record of one override after validation and steady state."""
+    try:
+        # vars(base) is exactly its fields; replace walks them per row
+        p = SystemParams(**{**vars(base), **changes})
+    except ValueError as exc:
+        return Stages(error=InvalidParams(str(exc)))
+    try:
+        derived = params_mod.derive(p)
+    except PointFailure as exc:
+        # kept without its traceback, whose frames hold exc: a cycle per row
+        return Stages(p, error=exc.with_traceback(None))
+    return Stages(p, derived)
+
+
+def _run_stack(records, rows) -> None:
+    """Finish records[rows], each a point and its derive output: one stacked call per stage."""
+    steady = [records[j] for j in rows]
+    ms = np.array([dynamics.build_drift(s.params, s.derived.g_m) for s in steady])
+    ds = np.array([dynamics.build_diffusion(s.params) for s in steady])
+    scales = np.array([s.params.omega_m1 for s in steady])
     reports = dynamics.stability(ms, scales)
     # each point's latest stage output or failure; an unstable report is no
     # failure yet, so steady_covariance gets its row and returns one
     latest = list(reports)
     stages = (
-        lambda rows: dynamics.steady_covariance(ms[rows], ds[rows], scales[rows]),
-        lambda rows: entanglement.log_negativity(np.array([latest[j][:4, :4] for j in rows])),
+        lambda live: dynamics.steady_covariance(ms[live], ds[live], scales[live]),
+        lambda live: entanglement.log_negativity(np.array([latest[i][:4, :4] for i in live])),
     )
     for stage in stages:
-        rows = [j for j, out in enumerate(latest) if not isinstance(out, PointFailure)]
-        if rows:
-            for j, out in zip(rows, stage(rows)):
-                latest[j] = out
-    for j, out in enumerate(latest):
+        live = [i for i, out in enumerate(latest) if not isinstance(out, PointFailure)]
+        if live:
+            for i, out in zip(live, stage(live)):
+                latest[i] = out
+    for j, s, report, out in zip(rows, steady, reports, latest):
         failed = isinstance(out, PointFailure)
-        report = reports[j] if isinstance(reports[j], StabilityReport) else None
-        records[index[j]] = Stages(points[j], derived[j], report,
-                                   None if failed else out, out if failed else None)
+        records[j] = Stages(s.params, s.derived,
+                            report if isinstance(report, StabilityReport) else None,
+                            None if failed else out, out if failed else None)
 
 
 class PointResult(typing.NamedTuple):
@@ -201,15 +197,22 @@ def _grid_task(task) -> list[PointResult]:
 
 
 def _validate_grid(axes, parallel) -> None:
+    names = [name for name, _ in axes]
     for name, values in axes:
         if name not in PARAM_NAMES:
             raise ConfigError(f"unknown axis parameter {name!r}")
-        if len(values) == 0:
+        if names.count(name) > 1:  # rows would all run at its last value
+            raise ConfigError(f"axis {name!r} is repeated")
+        try:
+            empty = len(values) == 0
+        except TypeError:
+            raise ConfigError(f"axis {name!r} must be a sequence of values") from None
+        if empty:
             raise ConfigError(f"axis {name!r} has no values")
     size = math.prod(len(values) for _, values in axes)
     if size > MAX_GRID_POINTS:
         raise ConfigError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
-    if not isinstance(parallel, int) or parallel < 1:
+    if type(parallel) is not int or parallel < 1:  # no bool, though it is an int
         raise ConfigError(f"parallel must be an integer >= 1, got {parallel!r}")
 
 
@@ -342,9 +345,10 @@ def critical_temperature(
     brackets the last positive-to-zero crossing, then bisection narrows
     it to width tol or to float resolution, whichever comes first; the
     bracket midpoint comes back. Each later run_stages call evaluates
-    every midpoint the next three bisection steps could probe, and the
-    steps then read the ones on their path: temperature enters only the
-    diffusion, so those rows share one elimination. Raises
+    the midpoint of every bracket the next three bisection steps could
+    halve, and the steps then walk the brackets on their path: only
+    the diffusion holds temperature, so those rows share one
+    elimination. Raises
     NoEntanglementAtFloor when E_N(t_lo) = 0 and NoDeathBelowCeiling
     when E_N(t_hi) > 0; pipeline failures at any probed temperature
     propagate, and a failure at a midpoint off the path does not. The
@@ -374,26 +378,20 @@ def critical_temperature(
     for i in range(_COARSE_SCAN_POINTS - 1):
         if values[i] > 0.0 and values[i + 1] <= 0.0:
             lo, hi = float(grid[i]), float(grid[i + 1])
-    probed = {}
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats
-        if mid not in probed:
-            levels = _bisection_levels(lo, hi, tol)
-            probed = dict(zip(levels, at(levels)))
-        if probed[mid].checked_en() > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    while brackets := _bisection_levels(lo, hi, tol):
+        probed = dict(zip(brackets, at([0.5 * (a + b) for a, b in brackets])))
+        while (lo, hi) in probed:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if probed[lo, hi].checked_en() > 0.0 else (lo, mid)
     return 0.5 * (lo + hi)
 
 
-def _bisection_levels(lo: float, hi: float, tol: float) -> list[float]:
-    """Every midpoint the next _BISECTION_LEVELS bisection steps from [lo, hi] could probe.
+def _bisection_levels(lo: float, hi: float, tol: float) -> list[tuple[float, float]]:
+    """The brackets the next _BISECTION_LEVELS bisection steps from [lo, hi] could halve.
 
-    Level by level, with the bisection's own midpoint and stop tests, so
-    the path it takes is among them.
+    Level by level, each bracket (a, b) wider than tol whose midpoint lies
+    strictly between a and b: the search's only stop test, so its path is
+    among them, and an empty list ends it.
     """
     levels, brackets = [], [(lo, hi)]
     for _ in range(_BISECTION_LEVELS):
@@ -401,7 +399,7 @@ def _bisection_levels(lo: float, hi: float, tol: float) -> list[float]:
         for a, b in brackets:
             mid = 0.5 * (a + b)
             if b - a > tol and a < mid < b:
-                levels.append(mid)
+                levels.append((a, b))
                 halves += [(a, mid), (mid, b)]
         brackets = halves
     return levels

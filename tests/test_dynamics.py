@@ -412,6 +412,24 @@ def test_readme_chain_covariance_is_a_solved_covariance(base, temperature):
     assert residual <= dynamics.RESIDUAL_RTOL * np.linalg.norm(d)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(oracles.VALID_BASES, st.integers(-60, 60))
+def test_steady_covariance_is_invariant_under_time_rescaling(base, k):
+    # 2**k M, 2**k D and 2**k omega describe the same state on a time axis
+    # scaled by 2**-k; a power of two is exact in every +, -, * and /, so V
+    # and every test the solve makes must come out the same to the bit
+    m = dynamics.build_drift(base, params.derive(base).g_m)
+    d = dynamics.build_diffusion(base)
+    outcomes = []
+    for scale in (1.0, 2.0**k):
+        try:
+            v = dynamics.steady_covariance(scale * m, scale * d, scale * base.omega_m1)
+            outcomes.append(v.view(np.int64).tolist())
+        except PointFailure as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("lam_frac", [0.3, 0.6, 0.95])
 def test_local_bath_limit_at_zero_temperature(lam_frac):
     # with the cavity all but off, q+ = (q1 + q2)/sqrt(2) has stiffness

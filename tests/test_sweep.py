@@ -346,6 +346,26 @@ def test_any_batch_gives_each_row_as_alone(coded):
         assert same_record(record, sweep.run_stages(base, [changes])[0])
 
 
+def test_run_stages_stacks_the_rows_that_pass_derive(monkeypatch):
+    # a code-1 row takes no slot: 117 solved rows make one full stack
+    # and one of the remaining 53, in order
+    sizes = []
+    solve = dynamics.steady_covariance
+
+    def counted(m, d, omega_scale):
+        sizes.append(len(m))
+        return solve(m, d, omega_scale)
+
+    monkeypatch.setattr(dynamics, "steady_covariance", counted)
+    detunings = iter(np.linspace(0.5, 1.5, 117, endpoint=False) * OMEGA)
+    overrides = [{"coulomb_lambda": 1.05 * OMEGA} if j % 10 == 0 else
+                 {"detuning": next(detunings)} for j in range(130)]
+    batch = sweep.run_stages(params.SystemParams(coulomb_lambda=0.95 * OMEGA), overrides)
+    assert sizes == [sweep.STACK_ROWS, 117 - sweep.STACK_ROWS]
+    codes = [0 if r.error is None else r.error.code for r in batch]
+    assert codes == [1 if j % 10 == 0 else 0 for j in range(130)]
+
+
 def test_temperature_only_batch_gives_each_row_as_alone():
     # rows that differ only in temperature share one drift matrix and so
     # one elimination; repeats, T = 0 and a covariance overflow (code 6)
@@ -398,6 +418,14 @@ def test_run_sweep_rejects_bad_spec():
         sweep.run_sweep(base, [("power", ())])
     with pytest.raises(ConfigError):
         sweep.run_sweep(base, [], parallel=0)
+    with pytest.raises(ConfigError, match="^axis 'power' must be a sequence of values$"):
+        sweep.run_sweep(base, [("power", 0.1)])
+    with pytest.raises(ConfigError, match="^parallel must be an integer >= 1, got True$"):
+        sweep.run_sweep(base, [], parallel=True)
+    # the grid would run every row at the last value while write_csv
+    # labels the rows with all of them
+    with pytest.raises(ConfigError, match="^axis 'power' is repeated$"):
+        sweep.run_sweep(base, [("power", (0.01, 0.02)), ("power", (0.05,))])
 
 
 def test_run_sweep_takes_numpy_axes(tmp_path):
