@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 from . import steady_state
 from .errors import DegenerateNormalMode
@@ -84,7 +85,7 @@ class SystemParams:
         for name in PARAM_NAMES:
             value = getattr(self, name)
             exact = type(value) is float
-            if not exact and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+            if not exact and (not isinstance(value, numbers.Real) or isinstance(value, bool)):
                 raise ValueError(f"{name} must be a real number")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import math
@@ -110,24 +109,19 @@ def _steady_record(base: SystemParams, changes) -> Stages:
 
 
 def _run_stack(records, rows) -> None:
-    """Finish records[rows], each a point and its derive output: one stacked call per stage."""
+    """Finish records[rows], each a point and its derive output, in three stacked calls."""
     steady = [records[j] for j in rows]
     ms = np.array([dynamics.build_drift(s.params, s.derived.g_m) for s in steady])
     ds = np.array([dynamics.build_diffusion(s.params) for s in steady])
     scales = np.array([s.params.omega_m1 for s in steady])
-    reports = dynamics.stability(ms, scales)
-    # each point's latest stage output or failure; an unstable report is no
-    # failure yet, so steady_covariance gets its row and returns one
-    latest = list(reports)
-    stages = (
-        lambda live: dynamics.steady_covariance(ms[live], ds[live], scales[live]),
-        lambda live: entanglement.log_negativity(np.array([latest[i][:4, :4] for i in live])),
-    )
-    for stage in stages:
-        live = [i for i, out in enumerate(latest) if not isinstance(out, PointFailure)]
-        if live:
-            for i, out in zip(live, stage(live)):
-                latest[i] = out
+    reports = dynamics.stability(ms, scales)  # only for the records' stability field
+    # each row's V, or the failure of steady_covariance's own stability pass or solve
+    latest = dynamics.steady_covariance(ms, ds, scales)
+    live = [i for i, out in enumerate(latest) if not isinstance(out, PointFailure)]
+    if live:
+        blocks = np.array([latest[i][:4, :4] for i in live])
+        for i, out in zip(live, entanglement.log_negativity(blocks)):
+            latest[i] = out
     for j, s, report, out in zip(rows, steady, reports, latest):
         failed = isinstance(out, PointFailure)
         records[j] = Stages(s.params, s.derived,
@@ -196,13 +190,16 @@ def _grid_task(task) -> list[PointResult]:
     return [_flatten(s) for s in run_stages(base, [dict(zip(names, c)) for c in combos])]
 
 
-def _validate_grid(axes, parallel) -> None:
+def _validate_grid(axes) -> None:
+    """ConfigError unless each axis names a parameter once and holds 1-D values, within the cap."""
     names = [name for name, _ in axes]
     for name, values in axes:
         if name not in PARAM_NAMES:
             raise ConfigError(f"unknown axis parameter {name!r}")
         if names.count(name) > 1:  # rows would all run at its last value
             raise ConfigError(f"axis {name!r} is repeated")
+        if getattr(values, "ndim", 1) != 1:
+            raise ConfigError(f"axis {name!r} must be one-dimensional")
         try:
             empty = len(values) == 0
         except TypeError:
@@ -212,8 +209,6 @@ def _validate_grid(axes, parallel) -> None:
     size = math.prod(len(values) for _, values in axes)
     if size > MAX_GRID_POINTS:
         raise ConfigError(f"grid of {size} points exceeds the cap of {MAX_GRID_POINTS}")
-    if type(parallel) is not int or parallel < 1:  # no bool, though it is an int
-        raise ConfigError(f"parallel must be an integer >= 1, got {parallel!r}")
 
 
 def run_sweep(base: SystemParams, axes, parallel: int = 1) -> list[PointResult]:
@@ -226,7 +221,9 @@ def run_sweep(base: SystemParams, axes, parallel: int = 1) -> list[PointResult]:
     workers and is skipped when that is 1. Points go to run_stages in
     contiguous chunks of at most STACK_ROWS, at least one per worker.
     """
-    _validate_grid(axes, parallel)
+    _validate_grid(axes)
+    if type(parallel) is not int or parallel < 1:  # no bool, though it is an int
+        raise ConfigError(f"parallel must be an integer >= 1, got {parallel!r}")
     names = tuple(name for name, _ in axes)
     combos = list(itertools.product(*(values for _, values in axes)))
     workers = min(parallel, len(combos), os.cpu_count() or 1)
@@ -241,11 +238,9 @@ def run_sweep(base: SystemParams, axes, parallel: int = 1) -> list[PointResult]:
 
 
 def _fmt(value) -> str:
-    if type(value) is float:
-        return f"{value:.17g}"
     if value is None:
         return ""
-    if isinstance(value, int):
+    if isinstance(value, int):  # a bool or an ErrorCode too
         return str(int(value))
     return f"{value:.17g}"
 
@@ -254,20 +249,23 @@ def write_csv(path, axes, results) -> None:
     """Write a grid's results as RFC-4180 CSV: header, 17-digit floats, \\n endings.
 
     The header is the axis names, then CSV_COLUMNS; each row is one grid
-    point's axis values in run_sweep's order, then its result. The table
-    is written beside the target and renamed over it, so a failed write
-    leaves an existing file untouched and no partial file.
+    point's axis values in run_sweep's order, then its result. No cell
+    needs RFC-4180 quoting: a header cell is a parameter or column name,
+    and a body cell is empty, an integer or a .17g float, inf and nan
+    included. Axes that run_sweep rejects raise its ConfigError. The
+    table is written beside the target and renamed over it, so a failed
+    write leaves an existing file untouched and no partial file.
     """
+    _validate_grid(axes)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     # 0o666 under the umask: the mode a plain open(path, "w") gives
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow([name for name, _ in axes] + list(CSV_COLUMNS))
+            handle.write(",".join([name for name, _ in axes] + list(CSV_COLUMNS)) + "\n")
             combos = itertools.product(*(values for _, values in axes))
             for combo, result in zip(combos, results, strict=True):
-                writer.writerow([_fmt(v) for v in (*combo, *result)])
+                handle.write(",".join([_fmt(v) for v in (*combo, *result)]) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

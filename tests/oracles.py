@@ -6,13 +6,16 @@ relation, eigenvalues of i Omega V for the symplectic spectrum, the
 Routh-Hurwitz minors of the characteristic polynomial for stability,
 and the time integral of dV/dt for the steady Lyapunov solve. The
 critical-temperature search has a sequential twin that probes one
-temperature per pipeline run, and the ``point`` JSON has its layout
-written out field by field. ``smallmat``'s elimination keeps its
-row-major form here, with each system's rows on a leading stack axis,
-as the reference its systems-innermost form must match to the bit.
+temperature per pipeline run, the ``point`` JSON has its layout
+written out field by field, and the CSV table is written by
+``csv.writer``. ``smallmat``'s elimination keeps its row-major form
+here, with each system's rows on a leading stack axis, as the
+reference its systems-innermost form must match to the bit.
 """
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -51,6 +54,24 @@ def grid_points(base, axes, results):
         (dataclasses.replace(base, **dict(zip(names, combo))), result)
         for combo, result in zip(combos, results, strict=True)
     ]
+
+
+def csv_table(axes, results) -> bytes:
+    """``sweep.write_csv``'s table by ``csv.writer``, which quotes any cell RFC 4180 needs quoted.
+
+    A cell is empty for None, a bool or int as its integer, and any
+    other number as its float at 17 significant digits.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([name for name, _ in axes] + list(sweep.CSV_COLUMNS))
+    combos = itertools.product(*(values for _, values in axes))
+    for combo, result in zip(combos, results, strict=True):
+        writer.writerow([
+            "" if v is None else str(int(v)) if isinstance(v, int) else format(float(v), ".17g")
+            for v in (*combo, *result)
+        ])
+    return out.getvalue().encode("utf-8")
 
 
 def point_document(point, stages):

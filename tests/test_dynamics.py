@@ -430,6 +430,49 @@ def test_steady_covariance_is_invariant_under_time_rescaling(base, k):
     assert outcomes[0] == outcomes[1]
 
 
+# the relations below are exact in real arithmetic; over 200 VALID_BASES
+# rows roundoff moved them by at most 2.1e-11, relative to V's largest entry
+RELATION_RTOL = 1e-9
+
+
+def max_rel_diff(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(oracles.VALID_BASES)
+def test_steady_covariance_oscillator_block_ignores_the_cavity_frame(base):
+    # rotating the (X, Y) quadratures by phi = arg c_s turns M into R M R^T
+    # and V into R V R^T; D's cavity block is kappa * I, so D stays, and R
+    # leaves the oscillators' block of V alone
+    derived = params.derive(base)
+    m = dynamics.build_drift(base, derived.g_m)
+    d = dynamics.build_diffusion(base)
+    phi = math.atan2(derived.c_s_im, derived.c_s_re)
+    r = np.eye(6)
+    r[4:, 4:] = [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
+    v, rotated = dynamics.steady_covariance(
+        np.array([m, r @ m @ r.T]), np.array([d, d]), np.full(2, base.omega_m1))
+    assert max_rel_diff(rotated[:4, :4], v[:4, :4]) <= RELATION_RTOL
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(oracles.VALID_BASES, st.floats(1e-3, 0.03))
+def test_steady_covariance_is_affine_in_the_thermal_occupation(base, temperature):
+    # with omega_m2 = omega_m1 both baths hold n(T), so D and V are affine
+    # in n(T); three temperatures share one drift, and so one elimination
+    # with a right-hand side slot each
+    p = dataclasses.replace(
+        base, omega_m2=base.omega_m1,
+        coulomb_lambda=base.coulomb_lambda * math.sqrt(base.omega_m1 / base.omega_m2))
+    m = dynamics.build_drift(p, params.derive(p).g_m)
+    temperatures = (temperature, 2.0 * temperature, 4.0 * temperature)
+    ds = [dynamics.build_diffusion(dataclasses.replace(p, temperature=t)) for t in temperatures]
+    v0, v1, v2 = dynamics.steady_covariance(np.array([m] * 3), np.array(ds), np.full(3, p.omega_m1))
+    n0, n1, n2 = (params.thermal_occupation(p.omega_m1, t) for t in temperatures)
+    assert max_rel_diff(v0 + (n2 - n0) / (n1 - n0) * (v1 - v0), v2) <= RELATION_RTOL
+
+
 @pytest.mark.parametrize("lam_frac", [0.3, 0.6, 0.95])
 def test_local_bath_limit_at_zero_temperature(lam_frac):
     # with the cavity all but off, q+ = (q1 + q2)/sqrt(2) has stiffness

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from omneg import params, steady_state
+from omneg import params, steady_state, sweep
 from omneg.errors import DegenerateNormalMode, ThresholdSingularity
 
 KAPPA = 8.81e7
@@ -79,6 +79,10 @@ def test_displacements_reject_degenerate_potential():
     assert p.omega_m1 - p.coulomb_lambda ** 2 / p.omega_m2 == 0.0
     with pytest.raises(DegenerateNormalMode):
         params.derive(p)
+    # its grid row is code 3 with only the thermal occupation filled
+    row = sweep.evaluate_point(p)
+    assert row == sweep.PointResult(nbar=0.4311294969158871, error_code=3)
+    assert row.error_code is sweep.ErrorCode.DEGENERATE_NORMAL_MODE
 
 
 def test_effective_coupling_reference_value():

@@ -426,6 +426,9 @@ def test_run_sweep_rejects_bad_spec():
     # labels the rows with all of them
     with pytest.raises(ConfigError, match="^axis 'power' is repeated$"):
         sweep.run_sweep(base, [("power", (0.01, 0.02)), ("power", (0.05,))])
+    # its rows would take whole rows of the array as values
+    with pytest.raises(ConfigError, match="^axis 'power' must be one-dimensional$"):
+        sweep.run_sweep(base, [("power", np.full((2, 2), 0.05))])
 
 
 def test_run_sweep_takes_numpy_axes(tmp_path):
@@ -441,6 +444,22 @@ def test_run_sweep_takes_numpy_axes(tmp_path):
     assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "tuples.csv").read_bytes()
     with pytest.raises(ConfigError, match="^axis 'power' has no values$"):
         sweep.run_sweep(base, [("power", np.array([]))])
+
+
+def test_run_sweep_takes_numpy_axes_of_any_real_dtype():
+    # numpy's integer and floating scalars are numbers.Real; its bool is not
+    base = params.reference_params(coulomb_lambda=0.95 * OMEGA)
+    for name, values in [
+        ("temperature", np.array([0, 1])),
+        ("temperature", np.array([0, 1], dtype=np.uint8)),
+        ("power", np.array([0.03, 0.05, 0.08], dtype=np.float32)),
+    ]:
+        as_floats = sweep.run_sweep(base, [(name, [float(v) for v in values])])
+        assert repr(sweep.run_sweep(base, [(name, values)])) == repr(as_floats)
+        assert all(r.error_code == sweep.ErrorCode.OK for r in as_floats)
+    for value in (True, np.True_, "0.05", 1j, None):
+        (record,) = sweep.run_stages(base, [{"power": value}])
+        assert str(record.error) == "power must be a real number"
 
 
 def test_run_stages_flags_a_non_real_override_as_invalid():
@@ -489,6 +508,44 @@ def test_csv_layout_and_roundtrip(tmp_path):
     assert bad_cells[5] == "0"
     assert bad_cells[7] == "" and bad_cells[8] == "" and bad_cells[9] == ""
 
+
+def test_csv_matches_a_csv_writer_table(tmp_path):
+    # every cell kind: empty, inf, -inf, nan, a bool, an ErrorCode and
+    # integer and float32 array axes; csv.writer would quote any cell
+    # that RFC 4180 needs quoted
+    axes = [("temperature", np.array([0, 1])),
+            ("power", np.array([0.05, np.inf, -np.inf], dtype=np.float32))]
+    code = sweep.ErrorCode
+    results = [
+        sweep.PointResult(nbar=0.5, stable=True, max_real_part=-1e-300,
+                          log_negativity=0.1, error_code=code.OK),
+        sweep.PointResult(error_code=code.INVALID_PARAMS),
+        sweep.PointResult(nbar=math.inf, error_code=code.THRESHOLD_SINGULARITY),
+        sweep.PointResult(nbar=0.25, g_m=-math.inf, error_code=code.EIGEN_FAILURE),
+        sweep.PointResult(stable=False, max_real_part=math.nan, error_code=code.UNSTABLE),
+        sweep.PointResult(sigma=1.0, varrho=math.nan, error_code=code.NONPHYSICAL_STATE),
+    ]
+    sweep.write_csv(tmp_path / "table.csv", axes, results)
+    want = oracles.csv_table(axes, results)
+    assert (tmp_path / "table.csv").read_bytes() == want
+    assert b'"' not in want and b"inf" in want and b"nan" in want
+
+
+@pytest.mark.parametrize("axes", [
+    [("frequency", (1.0,))],
+    [("power", (0.01, 0.02)), ("power", (0.05,))],
+    [("power", ())],
+    [("power", 0.1)],
+    [("power", np.full((2, 2), 0.05))],
+], ids=["unknown", "repeated", "empty", "scalar", "2-D"])
+def test_csv_rejects_the_axes_run_sweep_rejects(tmp_path, axes):
+    # a header cell is a parameter name, so no header cell needs quoting
+    with pytest.raises(ConfigError) as sweeping:
+        sweep.run_sweep(params.reference_params(), axes)
+    with pytest.raises(ConfigError) as writing:
+        sweep.write_csv(tmp_path / "table.csv", axes, [sweep.PointResult()])
+    assert str(writing.value) == str(sweeping.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("points, rows", [(3, 2), (1, 3)])
